@@ -16,8 +16,8 @@
    (pass --tables-only or --micro-only to restrict;
     --json FILE additionally writes the micro-benchmark estimates as
     JSON — BENCH_<pr>.json files are reference snapshots of it;
-    --e1-sanity [--kernel interned|strings|compiled] is the CI smoke
-    gate: one verified E1-medium run on the selected kernel) *)
+    --e1-sanity is the CI smoke gate: one E1-medium run, checked
+    against the brute-force reference before it is timed) *)
 
 open Bechamel
 open Toolkit
@@ -59,15 +59,6 @@ let micro_tests () =
       (stage (fun () -> Certain.answer db_small q));
     Test.make ~name:"e1/exact-medium"
       (stage (fun () -> Certain.answer db_medium q));
-    (* The same scan on the string-keyed reference kernel: the gap to
-       e1/exact-medium is the interned kernel's speedup (E15). *)
-    Test.make ~name:"e1/exact-medium-strings"
-      (stage (fun () -> Certain.answer ~kernel:Certain.Strings db_medium q));
-    (* The same scan with the per-structure evaluators compiled to flat
-       code: the gap to e1/exact-medium is the compiled kernel's
-       speedup over the interned interpreter (E18). *)
-    Test.make ~name:"e1/exact-medium-compiled"
-      (stage (fun () -> Certain.answer ~kernel:Certain.Compiled db_medium q));
     Test.make ~name:"e1/exact-medium-par4"
       (stage (fun () -> Certain.answer ~domains:4 db_medium q));
     Test.make ~name:"e2/precise-simulation"
@@ -246,41 +237,44 @@ let write_json ?(quota = quota_seconds) path results =
   close_out out;
   Fmt.pr "@.wrote %s (%d benchmarks)@." path (List.length results)
 
-(* --- CI sanity gate (--e1-sanity --kernel interned|strings|compiled) ---
+(* --- CI sanity gate (--e1-sanity) ---
 
-   One timed run of the E1-medium workload on the selected kernel,
-   verified against a reference kernel's answer (strings for interned,
-   interned for the other two). Exits non-zero on disagreement, so the
-   CI kernel-smoke job fails loudly if the kernels ever diverge. *)
+   One timed run of the E1-medium workload, verified first against the
+   brute-force Theorem-1 reference (Vardi_fuzz.Reference). Exits
+   non-zero on disagreement, so the CI engine-smoke job fails loudly
+   if the engine ever diverges from the reference. *)
 
-let e1_sanity kernel_name =
+let e1_sanity () =
   let module Certain = Vardi_certain.Engine in
-  let kernel, other, other_name =
-    match kernel_name with
-    | "interned" -> (Certain.Interned, Certain.Strings, "strings")
-    | "strings" -> (Certain.Strings, Certain.Interned, "interned")
-    | "compiled" -> (Certain.Compiled, Certain.Interned, "interned")
-    | v ->
-      Fmt.epr "unknown --kernel %S (expected interned, strings or compiled)@."
-        v;
-      exit 2
-  in
   let db = Workloads.parametric_db ~constants:16 ~unknowns:2 ~seed:7 in
   let q = Workloads.mixed_query in
-  ignore (Certain.answer ~kernel db q) (* warm-up *);
+  let reference = Logicaldb.Fuzz_reference.answer db q in
+  let answer = Certain.answer db q in
+  if not (Vardi_relational.Relation.equal answer reference) then begin
+    Fmt.epr "e1-sanity: the engine disagrees with the reference on E1-medium@.";
+    exit 1
+  end;
   let t0 = Logicaldb.Obs.now_ns () in
-  let answer = Certain.answer ~kernel db q in
+  ignore (Certain.answer db q);
   let elapsed_ms =
     Int64.to_float (Int64.sub (Logicaldb.Obs.now_ns ()) t0) /. 1e6
   in
-  let reference = Certain.answer ~kernel:other db q in
-  if not (Vardi_relational.Relation.equal answer reference) then begin
-    Fmt.epr "e1-sanity: kernel %s disagrees with %s on E1-medium@."
-      kernel_name other_name;
-    exit 1
-  end;
-  Fmt.pr "e1-sanity: kernel %-8s E1-medium %.2f ms, answers agree@."
-    kernel_name elapsed_ms
+  Fmt.pr "e1-sanity: E1-medium %.2f ms, answer agrees with the reference@."
+    elapsed_ms
+
+(* A fresh directory under the system temp dir, removed with its
+   contents when the process exits — by any path, [exit] included. *)
+let temp_dir prefix =
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  let dir = Filename.temp_dir prefix "" in
+  at_exit (fun () -> try rm_rf dir with Sys_error _ -> ());
+  dir
 
 (* [value_of flag args] is the argument following [flag], if any. *)
 let rec value_of flag = function
@@ -481,9 +475,7 @@ let durable_bench args =
       Fmt.epr "durable-bench: R is full on the E1-medium workload@.";
       exit 1
   in
-  let root = Filename.temp_file "durable_bench" "" in
-  Sys.remove root;
-  Unix.mkdir root 0o755;
+  let root = temp_dir "durable_bench" in
   (* Correctness gate: a committed prefix must survive an abandoned
      descriptor (the simulated kill -9) bit-for-bit. *)
   (let dir = Filename.concat root "gate" in
@@ -844,9 +836,7 @@ let acq_bench args =
              L.Approx.answer ~backend:L.Approx.Algebra_optimized adb aq));
     ]
   in
-  let root = Filename.temp_file "acq_bench" "" in
-  Sys.remove root;
-  Unix.mkdir root 0o755;
+  let root = temp_dir "acq_bench" in
   let results =
     run_micro_tests ~quota:acq_quota
       (sweep_tests @ star_tests @ triangle_tests @ approx_tests
@@ -975,7 +965,8 @@ let serve_bench args =
   (* The workload database: medium-sized, so each request does real
      scan work but a single run stays in seconds. *)
   let db = Workloads.parametric_db ~constants:12 ~unknowns:2 ~seed:7 in
-  let db_path = Filename.temp_file "serve_bench" ".ldb" in
+  let root = temp_dir "serve_bench" in
+  let db_path = Filename.concat root "bench.ldb" in
   let oc = open_out db_path in
   output_string oc (Logicaldb.Ldb_format.print db);
   close_out oc;
@@ -991,7 +982,9 @@ let serve_bench args =
     match external_socket with
     | Some path -> (path, None)
     | None ->
-      let path = Filename.temp_file "serve_bench" ".sock" in
+      (* A path nothing exists at yet: the daemon refuses to replace a
+         non-socket file there. *)
+      let path = Filename.concat root "serve.sock" in
       let thread =
         Thread.create
           (fun () ->
@@ -1008,166 +1001,163 @@ let serve_bench args =
       in
       (path, Some thread)
   in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove db_path with Sys_error _ -> ())
-    (fun () ->
-      let setup = Client.connect_retry socket_path in
-      let load_resp =
-        Client.request setup
-          (Json.Obj
-             [
-               ("op", Json.Str "load");
-               ("db", Json.Str "bench");
-               ("path", Json.Str db_path);
-             ])
+  let setup = Client.connect_retry socket_path in
+  let load_resp =
+    Client.request setup
+      (Json.Obj
+         [
+           ("op", Json.Str "load");
+           ("db", Json.Str "bench");
+           ("path", Json.Str db_path);
+         ])
+  in
+  (match Json.str_field "code" load_resp with
+  | Some "ok" -> ()
+  | _ ->
+    Fmt.epr "serve-bench: load failed: %s@." (Json.to_string load_resp);
+    exit 1);
+  (* One warm-up pass per query shape, so the measured section sees
+     the plan cache hot — the steady state a resident server is
+     for. The cold misses are still visible in the cache counters
+     below. *)
+  Array.iter
+    (fun shape ->
+      let op, text =
+        match shape with
+        | `Query t -> ("query", t)
+        | `Boolean t -> ("boolean", t)
       in
-      (match Json.str_field "code" load_resp with
-      | Some "ok" -> ()
-      | _ ->
-        Fmt.epr "serve-bench: load failed: %s@." (Json.to_string load_resp);
-        exit 1);
-      (* One warm-up pass per query shape, so the measured section sees
-         the plan cache hot — the steady state a resident server is
-         for. The cold misses are still visible in the cache counters
-         below. *)
-      Array.iter
-        (fun shape ->
-          let op, text =
-            match shape with
-            | `Query t -> ("query", t)
-            | `Boolean t -> ("boolean", t)
-          in
-          ignore
-            (Client.request setup
-               (Json.Obj
-                  [
-                    ("op", Json.Str op);
-                    ("db", Json.Str "bench");
-                    ("query", Json.Str text);
-                  ])))
-        query_mix;
-      let unexpected = Atomic.make 0 in
-      let latencies = Array.make clients [||] in
-      let client_thread idx () =
-        let c =
-          if retries > 0 then Client.connect ~retries socket_path
-          else Client.connect_retry socket_path
-        in
-        Fun.protect
-          ~finally:(fun () -> Client.close c)
-          (fun () ->
-            let lat = Array.make per_client 0. in
-            for i = 0 to per_client - 1 do
-              let expect_code, send =
-                if mixed && idx = 0 && i = 0 then
-                  ("parse_error", fun () -> Client.request_line c "not json")
-                else if mixed && idx = 0 && i = 1 then
-                  ( "exhausted",
-                    fun () ->
-                      Client.request c
-                        (Json.Obj
-                           [
-                             ("op", Json.Str "query");
-                             ("db", Json.Str "bench");
-                             ( "query",
-                               Json.Str "(x). (exists y. R(x, y)) /\\ ~P(x)"
-                             );
-                             ("max_structures", Json.Num 1.);
-                           ]) )
-                else
-                  let op, text =
-                    match query_mix.((idx + i) mod Array.length query_mix) with
-                    | `Query t -> ("query", t)
-                    | `Boolean t -> ("boolean", t)
-                  in
-                  ( "ok",
-                    fun () ->
-                      Client.request_retry ~retries c
-                        (Json.Obj
-                           [
-                             ("op", Json.Str op);
-                             ("db", Json.Str "bench");
-                             ("query", Json.Str text);
-                           ]) )
+      ignore
+        (Client.request setup
+           (Json.Obj
+              [
+                ("op", Json.Str op);
+                ("db", Json.Str "bench");
+                ("query", Json.Str text);
+              ])))
+    query_mix;
+  let unexpected = Atomic.make 0 in
+  let latencies = Array.make clients [||] in
+  let client_thread idx () =
+    let c =
+      if retries > 0 then Client.connect ~retries socket_path
+      else Client.connect_retry socket_path
+    in
+    Fun.protect
+      ~finally:(fun () -> Client.close c)
+      (fun () ->
+        let lat = Array.make per_client 0. in
+        for i = 0 to per_client - 1 do
+          let expect_code, send =
+            if mixed && idx = 0 && i = 0 then
+              ("parse_error", fun () -> Client.request_line c "not json")
+            else if mixed && idx = 0 && i = 1 then
+              ( "exhausted",
+                fun () ->
+                  Client.request c
+                    (Json.Obj
+                       [
+                         ("op", Json.Str "query");
+                         ("db", Json.Str "bench");
+                         ( "query",
+                           Json.Str "(x). (exists y. R(x, y)) /\\ ~P(x)"
+                         );
+                         ("max_structures", Json.Num 1.);
+                       ]) )
+            else
+              let op, text =
+                match query_mix.((idx + i) mod Array.length query_mix) with
+                | `Query t -> ("query", t)
+                | `Boolean t -> ("boolean", t)
               in
-              let t0 = Obs.now_ns () in
-              let resp = send () in
-              lat.(i) <- Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e6;
-              match Json.str_field "code" resp with
-              | Some code when code = expect_code -> ()
-              | _ ->
-                Atomic.incr unexpected;
-                Fmt.epr "serve-bench: client %d expected %s, got %s@." idx
-                  expect_code (Json.to_string resp)
-            done;
-            latencies.(idx) <- lat)
-      in
-      let threads = List.init clients (fun i -> Thread.create (client_thread i) ()) in
-      List.iter Thread.join threads;
-      let stats_resp =
-        Client.request setup (Json.Obj [ ("op", Json.Str "stats") ])
-      in
-      if shutdown_after then
-        ignore (Client.request setup (Json.Obj [ ("op", Json.Str "shutdown") ]));
-      Client.close setup;
-      Option.iter Thread.join server_thread;
-      let all = Array.concat (Array.to_list latencies) in
-      Array.sort compare all;
-      let n = Array.length all in
-      let percentile q =
-        if n = 0 then Float.nan
-        else all.(min (n - 1) (int_of_float (Float.round (q *. float_of_int (n - 1)))))
-      in
-      let mean =
-        if n = 0 then Float.nan
-        else Array.fold_left ( +. ) 0. all /. float_of_int n
-      in
-      let p50 = percentile 0.50
-      and p90 = percentile 0.90
-      and p99 = percentile 0.99
-      and p_max = if n = 0 then Float.nan else all.(n - 1) in
-      Fmt.pr
-        "serve-bench: %d clients x %d requests (workers=%d queue=%d%s)@."
-        clients per_client workers queue_capacity
-        (if mixed then ", mixed load" else "");
-      Fmt.pr
-        "  latency ms: p50 %.3f  p90 %.3f  p99 %.3f  max %.3f  mean %.3f@."
-        p50 p90 p99 p_max mean;
-      let cache_field name =
-        Option.bind (Json.member "plan_cache" stats_resp) (Json.num_field name)
-      in
-      (match (cache_field "hits", cache_field "misses") with
-      | Some h, Some m -> Fmt.pr "  plan cache: %.0f hits, %.0f misses@." h m
-      | _ -> ());
-      Option.iter
-        (fun path ->
-          let out = open_out path in
-          Printf.fprintf out
-            "{\n\
-            \  \"schema\": \"vardi-serve-bench/1\",\n\
-            \  \"clients\": %d,\n\
-            \  \"requests_per_client\": %d,\n\
-            \  \"workers\": %d,\n\
-            \  \"queue_capacity\": %d,\n\
-            \  \"mixed\": %b,\n\
-            \  \"total_requests\": %d,\n\
-            \  \"latency_ms\": { \"p50\": %s, \"p90\": %s, \"p99\": %s, \
-             \"max\": %s, \"mean\": %s },\n\
-            \  \"server_stats\": %s\n\
-             }\n"
-            clients per_client workers queue_capacity mixed n (json_float p50)
-            (json_float p90) (json_float p99) (json_float p_max)
-            (json_float mean)
-            (Json.to_string stats_resp);
-          close_out out;
-          Fmt.pr "wrote %s@." path)
-        json_path;
-      if Atomic.get unexpected > 0 then begin
-        Fmt.epr "serve-bench: %d unexpected response codes@."
-          (Atomic.get unexpected);
-        exit 1
-      end;
-      Fmt.pr "serve-bench: all %d responses carried their expected codes@." n)
+              ( "ok",
+                fun () ->
+                  Client.request_retry ~retries c
+                    (Json.Obj
+                       [
+                         ("op", Json.Str op);
+                         ("db", Json.Str "bench");
+                         ("query", Json.Str text);
+                       ]) )
+          in
+          let t0 = Obs.now_ns () in
+          let resp = send () in
+          lat.(i) <- Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e6;
+          match Json.str_field "code" resp with
+          | Some code when code = expect_code -> ()
+          | _ ->
+            Atomic.incr unexpected;
+            Fmt.epr "serve-bench: client %d expected %s, got %s@." idx
+              expect_code (Json.to_string resp)
+        done;
+        latencies.(idx) <- lat)
+  in
+  let threads = List.init clients (fun i -> Thread.create (client_thread i) ()) in
+  List.iter Thread.join threads;
+  let stats_resp =
+    Client.request setup (Json.Obj [ ("op", Json.Str "stats") ])
+  in
+  if shutdown_after then
+    ignore (Client.request setup (Json.Obj [ ("op", Json.Str "shutdown") ]));
+  Client.close setup;
+  Option.iter Thread.join server_thread;
+  let all = Array.concat (Array.to_list latencies) in
+  Array.sort compare all;
+  let n = Array.length all in
+  let percentile q =
+    if n = 0 then Float.nan
+    else all.(min (n - 1) (int_of_float (Float.round (q *. float_of_int (n - 1)))))
+  in
+  let mean =
+    if n = 0 then Float.nan
+    else Array.fold_left ( +. ) 0. all /. float_of_int n
+  in
+  let p50 = percentile 0.50
+  and p90 = percentile 0.90
+  and p99 = percentile 0.99
+  and p_max = if n = 0 then Float.nan else all.(n - 1) in
+  Fmt.pr
+    "serve-bench: %d clients x %d requests (workers=%d queue=%d%s)@."
+    clients per_client workers queue_capacity
+    (if mixed then ", mixed load" else "");
+  Fmt.pr
+    "  latency ms: p50 %.3f  p90 %.3f  p99 %.3f  max %.3f  mean %.3f@."
+    p50 p90 p99 p_max mean;
+  let cache_field name =
+    Option.bind (Json.member "plan_cache" stats_resp) (Json.num_field name)
+  in
+  (match (cache_field "hits", cache_field "misses") with
+  | Some h, Some m -> Fmt.pr "  plan cache: %.0f hits, %.0f misses@." h m
+  | _ -> ());
+  Option.iter
+    (fun path ->
+      let out = open_out path in
+      Printf.fprintf out
+        "{\n\
+        \  \"schema\": \"vardi-serve-bench/1\",\n\
+        \  \"clients\": %d,\n\
+        \  \"requests_per_client\": %d,\n\
+        \  \"workers\": %d,\n\
+        \  \"queue_capacity\": %d,\n\
+        \  \"mixed\": %b,\n\
+        \  \"total_requests\": %d,\n\
+        \  \"latency_ms\": { \"p50\": %s, \"p90\": %s, \"p99\": %s, \
+         \"max\": %s, \"mean\": %s },\n\
+        \  \"server_stats\": %s\n\
+         }\n"
+        clients per_client workers queue_capacity mixed n (json_float p50)
+        (json_float p90) (json_float p99) (json_float p_max)
+        (json_float mean)
+        (Json.to_string stats_resp);
+      close_out out;
+      Fmt.pr "wrote %s@." path)
+    json_path;
+  if Atomic.get unexpected > 0 then begin
+    Fmt.epr "serve-bench: %d unexpected response codes@."
+      (Atomic.get unexpected);
+    exit 1
+  end;
+  Fmt.pr "serve-bench: all %d responses carried their expected codes@." n
 
 (* --- Part 5: the serve mutation smoke (--serve-mutate) ---
 
@@ -1263,7 +1253,7 @@ let () =
   else if List.mem "--acq-sanity" args then acq_sanity args
   else if List.mem "--acq" args then acq_bench args
   else if List.mem "--e1-sanity" args then
-    e1_sanity (Option.value ~default:"interned" (value_of "--kernel" args))
+    e1_sanity ()
   else begin
     let tables_only = List.mem "--tables-only" args in
     let micro_only = List.mem "--micro-only" args in

@@ -155,14 +155,14 @@ let algorithm_arg =
         Certain.Kernel_partitions
     & info [ "algorithm" ] ~docv:"ALGO" ~doc)
 
+(* Deprecated: there is one evaluation kernel. The flag still parses
+   the three historical names (and rejects anything else with exit 2)
+   so existing scripts keep working; the value selects nothing. *)
 let kernel_arg =
   let doc =
-    "Evaluation kernel for the exact/possible engines: $(b,interned) \
-     (integer-coded constants, array tuples, incremental quotients — the \
-     default), $(b,compiled) (the interned scan with plans and formulas \
-     flattened to packed-integer flat code; fastest) or $(b,strings) (the \
-     original string-keyed path, kept as the differential-testing \
-     reference)."
+    "Deprecated and ignored: the exact and possible engines have a single \
+     evaluation kernel. $(b,interned), $(b,compiled) and $(b,strings) are \
+     still accepted; any other name is an error."
   in
   Arg.(
     value
@@ -173,7 +173,7 @@ let kernel_arg =
              ("compiled", Certain.Compiled);
              ("strings", Certain.Strings);
            ])
-        Certain.Interned
+        Certain.Compiled
     & info [ "kernel" ] ~docv:"KERNEL" ~doc)
 
 let backend_arg =
@@ -391,14 +391,14 @@ let print_qualified_note = function
     Fmt.pr "(upper bound: unrefuted survivors of the interrupted scan)@."
   | Resilient.Exhausted -> ()
 
-let run_resilient db q ~policy ~algorithm ~domains ~kernel ~stats ~budget =
+let run_resilient db q ~policy ~algorithm ~domains ~stats ~budget =
   let exhausted () =
     Fmt.epr "budget exhausted (%s)@." (Budget.to_string budget);
     124
   in
   if Query.is_boolean q then begin
     let result, rstats =
-      Resilient.boolean_stats ~policy ~algorithm ~domains ~kernel ~budget db q
+      Resilient.boolean_stats ~policy ~algorithm ~domains ~budget db q
     in
     let status =
       match result with
@@ -414,7 +414,7 @@ let run_resilient db q ~policy ~algorithm ~domains ~kernel ~stats ~budget =
   end
   else begin
     let result, rstats =
-      Resilient.answer_stats ~policy ~algorithm ~domains ~kernel ~budget db q
+      Resilient.answer_stats ~policy ~algorithm ~domains ~budget db q
     in
     let status =
       match result with
@@ -460,8 +460,9 @@ let print_plan db q engine =
   Fmt.pr "@."
 
 let query_cmd =
-  let run path query_text engine algorithm kernel backend explain domains
-      stats trace metrics timeout max_structures max_evaluations policy =
+  let run path query_text engine algorithm (_ : Certain.kernel) backend
+      explain domains stats trace metrics timeout max_structures
+      max_evaluations policy =
     let status = ref 0 in
     handle (fun () ->
         let budget =
@@ -495,23 +496,19 @@ let query_cmd =
             exit 2
           end;
           status :=
-            run_resilient db q ~policy ~algorithm ~domains ~kernel ~stats
-              ~budget
+            run_resilient db q ~policy ~algorithm ~domains ~stats ~budget
         end
         else begin
         if Query.is_boolean q then begin
           let verdict, counters =
             match engine with
             | Exact ->
-              let v, s =
-                Certain.certain_boolean_stats ~algorithm ~domains ~kernel db q
-              in
+              let v, s = Certain.certain_boolean_stats ~algorithm ~domains db q in
               (v, Some s)
             | Approximate -> (Approx.boolean db q, None)
             | Possible ->
               let v, s =
-                Certain.possible_boolean_stats ~algorithm ~domains ~kernel db
-                  q
+                Certain.possible_boolean_stats ~algorithm ~domains db q
               in
               (v, Some s)
           in
@@ -523,14 +520,12 @@ let query_cmd =
           let answer, counters =
             match engine with
             | Exact ->
-              let r, s =
-                Certain.answer_stats ~algorithm ~domains ~kernel db q
-              in
+              let r, s = Certain.answer_stats ~algorithm ~domains db q in
               (r, Some s)
             | Approximate -> (Approx.answer ~backend db q, None)
             | Possible ->
               let r, s =
-                Certain.possible_answer_stats ~algorithm ~domains ~kernel db q
+                Certain.possible_answer_stats ~algorithm ~domains db q
               in
               (r, Some s)
           in
@@ -966,7 +961,8 @@ let mutate_cmd =
     Arg.(
       value & opt (some string) None & info [ "query"; "q" ] ~docv:"QUERY" ~doc)
   in
-  let run path inserts retracts distincts merges output query_text kernel =
+  let run path inserts retracts distincts merges output query_text
+      (_ : Certain.kernel) =
     handle (fun () ->
         let session = Incr_session.create (load path) in
         (* Group order is fixed (inserts, retracts, distinct, merge) —
@@ -998,16 +994,7 @@ let mutate_cmd =
         | None -> ()
         | Some text ->
           let q = Parser.query text in
-          let prepared =
-            match kernel with
-            | Certain.Strings ->
-              (* Sessions cache interned structures, so the strings
-                 kernel prepares against the mutated database directly
-                 — same answers, by the kernel-parity contract. *)
-              Certain.prepare ~kernel (Incr_session.db session) q
-            | Certain.Interned | Certain.Compiled ->
-              Incr_session.prepare ~kernel session q
-          in
+          let prepared = Incr_session.prepare session q in
           if Query.is_boolean q then
             let verdict, _ = Certain.prepared_certain_boolean_stats prepared in
             Fmt.pr "%b@." verdict

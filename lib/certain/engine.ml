@@ -1,20 +1,12 @@
-module Formula = Vardi_logic.Formula
 module Query = Vardi_logic.Query
-module Vocabulary = Vardi_logic.Vocabulary
 module Relation = Vardi_relational.Relation
-module Database = Vardi_relational.Database
-module Eval = Vardi_relational.Eval
-module Algebra = Vardi_relational.Algebra
 module Compile = Vardi_relational.Compile
 module Cw_database = Vardi_cwdb.Cw_database
-module Mapping = Vardi_cwdb.Mapping
-module Partition = Vardi_cwdb.Partition
 module Ph = Vardi_cwdb.Ph
 module Obs = Vardi_obs.Obs
 module Symtab = Vardi_interned.Symtab
 module Irel = Vardi_interned.Irel
 module Iplan = Vardi_interned.Iplan
-module Ieval = Vardi_interned.Ieval
 module Iscan = Vardi_interned.Iscan
 module Icode = Vardi_interned.Icode
 
@@ -49,52 +41,24 @@ let validate_tuple = Vardi_cwdb.Query_check.validate_tuple
    under clock adjustment. *)
 let now_ns = Obs.now_ns
 
-(* Every examined structure is an image database together with the
-   element renaming that produced it, so a candidate tuple [c] over [C]
-   is checked as [h(c) ∈ Q(h(Ph₁))]. *)
-type structure = {
-  image : Vardi_relational.Database.t;
-  rename : string -> string;
-}
-
 (* The structure stream is handed out as construction thunks: the
    enumeration step (next partition / next mapping) runs in the
    scheduler's critical section, while the quotient / image-database
    construction — the expensive part — runs in whichever worker domain
-   claimed the item. *)
-let structure_thunks algorithm order lb =
-  match algorithm with
-  | Naive_mappings ->
-    Seq.map
-      (fun h () -> { image = Mapping.image_db h; rename = Mapping.apply h })
-      (Mapping.all_respecting lb)
-  | Kernel_partitions ->
-    Seq.map
-      (fun p () ->
-        { image = Partition.quotient p; rename = Partition.representative p })
-      (Partition.all_valid ~order lb)
-
-let discrete_structure lb =
-  (* The discrete partition's quotient is Ph₁ itself (the identity
-     renaming), so no partition machinery is needed to build it. *)
-  { image = Ph.ph1 lb; rename = Fun.id }
-
-(* The interned mirror of [structure_thunks]: same enumeration orders,
-   same deferred-construction split (see Iscan). *)
-let interned_thunks algorithm order plan =
+   claimed the item (see Iscan). *)
+let plan_thunks algorithm order plan =
   match algorithm with
   | Naive_mappings -> Iscan.mapping_thunks plan
   | Kernel_partitions -> Iscan.structure_thunks ~order plan
 
-(* A pluggable interned structure stream. The engine's scans only need
-   three things from a plan: its symtab, its structure stream per
-   (algorithm, order), and its discrete seed — so they are bundled
-   here, letting an incremental session substitute cached structures
-   for stream positions (see Vardi_incr.Session) while the engine's
-   scheduling, budget and stats machinery stays oblivious. The
-   positional contract carries over: [source_thunks alg ord] must
-   enumerate the same renaming at every position as the fresh plan's
-   stream would. *)
+(* A pluggable structure stream. The engine's scans only need three
+   things from a plan: its symtab, its structure stream per (algorithm,
+   order), and its discrete seed — so they are bundled here, letting an
+   incremental session substitute cached structures for stream
+   positions (see Vardi_incr.Session) while the engine's scheduling,
+   budget and stats machinery stays oblivious. The positional contract
+   carries over: [source_thunks alg ord] must enumerate the same
+   renaming at every position as the fresh plan's stream would. *)
 type scan_source = {
   source_plan : Iscan.plan;
   source_thunks : algorithm -> order -> (unit -> Iscan.structure) Seq.t;
@@ -104,7 +68,7 @@ type scan_source = {
 let source_of_plan plan =
   {
     source_plan = plan;
-    source_thunks = (fun algorithm order -> interned_thunks algorithm order plan);
+    source_thunks = (fun algorithm order -> plan_thunks algorithm order plan);
     source_discrete = (fun () -> Iscan.discrete plan);
   }
 
@@ -302,103 +266,49 @@ let search ~domains ~cancel ~target thunks check =
 
 (* --- decision entry points ---------------------------------------- *)
 
-(* Per-tuple and Boolean deciders: quantify [check] over the structure
-   stream of the selected kernel. All kernels enumerate structures in
-   the same order — [Compiled] shares the interned stream outright —
-   so stats (and capped verdicts) agree. *)
-(* [search] is instantiated at a different structure type per kernel,
-   so the dispatch happens here rather than via a first-class
-   quantifier argument (which would force one monomorphic type). *)
-(* [?source] lets a prepared query (see the plan-cache API below) reuse
-   the interned database — or an incremental session's cached stream —
-   instead of re-interning it on every call. [?wrap_check] wraps the
-   per-structure check (a session's per-query memo); the wrapper sees
-   the same structures at the same positions, so stats and positional
-   caps are unchanged whether or not it hits. *)
-let decide_member ~target ~algorithm ~order ~domains ~cancel ~kernel ?source
-    lb q tuple =
-  match kernel with
-  | Strings ->
-    search ~domains ~cancel ~target
-      (structure_thunks algorithm order lb)
-      (fun s -> Eval.member s.image q (List.map s.rename tuple))
-  | Interned ->
-    let source =
-      match source with
-      | Some source -> source
-      | None -> source_of_plan (Iscan.prepare lb)
-    in
-    let codes = Symtab.code_tuple (Iscan.symtab source.source_plan) tuple in
-    search ~domains ~cancel ~target
-      (source.source_thunks algorithm order)
-      (fun (s : Iscan.structure) ->
-        Ieval.member s.idb q (rename_row s.rename codes))
-  | Compiled ->
-    let source =
-      match source with
-      | Some source -> source
-      | None -> source_of_plan (Iscan.prepare lb)
-    in
-    let tab = Iscan.symtab source.source_plan in
-    let codes = Symtab.code_tuple tab tuple in
-    let cm = Icode.compile_member tab q in
-    search ~domains ~cancel ~target
-      (source.source_thunks algorithm order)
-      (fun (s : Iscan.structure) ->
-        Icode.run_member s.idb cm (rename_row s.rename codes))
+(* Per-tuple and Boolean deciders: quantify a compiled check over the
+   structure stream. [decide_boolean] takes its stream from [source] so
+   a prepared query (see the plan-cache API below) reuses the interned
+   database — or an incremental session's cached stream — instead of
+   re-interning it on every call. [?wrap_check] wraps the per-structure
+   check (a session's per-query memo); the wrapper sees the same
+   structures at the same positions, so stats and positional caps are
+   unchanged whether or not it hits. *)
+let decide_member ~target ~algorithm ~order ~domains ~cancel lb q tuple =
+  let plan = Iscan.prepare lb in
+  let tab = Iscan.symtab plan in
+  let codes = Symtab.code_tuple tab tuple in
+  let cm = Icode.compile_member tab q in
+  search ~domains ~cancel ~target
+    (plan_thunks algorithm order plan)
+    (fun (s : Iscan.structure) ->
+      Icode.run_member s.idb cm (rename_row s.rename codes))
 
-let decide_boolean ~target ~algorithm ~order ~domains ~cancel ~kernel ?source
-    ?wrap_check lb body =
-  match kernel with
-  | Strings ->
-    search ~domains ~cancel ~target
-      (structure_thunks algorithm order lb)
-      (fun s -> Eval.satisfies s.image body)
-  | Interned ->
-    let source =
-      match source with
-      | Some source -> source
-      | None -> source_of_plan (Iscan.prepare lb)
-    in
-    let check (s : Iscan.structure) = Ieval.satisfies s.idb body in
-    let check = match wrap_check with Some w -> w check | None -> check in
-    search ~domains ~cancel ~target
-      (source.source_thunks algorithm order)
-      check
-  | Compiled ->
-    let source =
-      match source with
-      | Some source -> source
-      | None -> source_of_plan (Iscan.prepare lb)
-    in
-    let cs = Icode.compile_sentence (Iscan.symtab source.source_plan) body in
-    let check (s : Iscan.structure) = Icode.run_sentence s.idb cs in
-    let check = match wrap_check with Some w -> w check | None -> check in
-    search ~domains ~cancel ~target
-      (source.source_thunks algorithm order)
-      check
+let decide_boolean ~target ~algorithm ~order ~domains ~cancel ?wrap_check
+    source body =
+  let cs = Icode.compile_sentence (Iscan.symtab source.source_plan) body in
+  let check (s : Iscan.structure) = Icode.run_sentence s.idb cs in
+  let check = match wrap_check with Some w -> w check | None -> check in
+  search ~domains ~cancel ~target (source.source_thunks algorithm order) check
 
 let certain_member_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Interned) lb q
-    tuple =
+    ?(order = Fresh_first) ?(domains = 1) ?cancel lb q tuple =
   validate lb q;
   validate_tuple lb q tuple;
   if Query.is_boolean q then
     invalid_arg "Certain.certain_member: Boolean query; use certain_boolean";
   Obs.span "certain.member" (fun () ->
       let refuted, stats =
-        decide_member ~target:false ~algorithm ~order ~domains ~cancel ~kernel
-          lb q tuple
+        decide_member ~target:false ~algorithm ~order ~domains ~cancel lb q
+          tuple
       in
       (not refuted, stats))
 
-let certain_member ?algorithm ?order ?domains ?cancel ?kernel lb q tuple =
-  fst
-    (certain_member_stats ?algorithm ?order ?domains ?cancel ?kernel lb q
-       tuple)
+let certain_member ?algorithm ?order ?domains ?cancel lb q tuple =
+  fst (certain_member_stats ?algorithm ?order ?domains ?cancel lb q tuple)
 
 let certain_boolean_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Interned) lb q =
+    ?(order = Fresh_first) ?(domains = 1) ?cancel lb q =
   validate lb q;
   if not (Query.is_boolean q) then
     invalid_arg "Certain.certain_boolean: the query has answer variables";
@@ -406,55 +316,64 @@ let certain_boolean_stats ?(algorithm = Kernel_partitions)
   Obs.span "certain.boolean" (fun () ->
       let refuted, stats =
         decide_boolean ~target:false ~algorithm ~order ~domains ~cancel
-          ~kernel lb body
+          (source_of_plan (Iscan.prepare lb))
+          body
       in
       (not refuted, stats))
 
-let certain_boolean ?algorithm ?order ?domains ?cancel ?kernel lb q =
-  fst (certain_boolean_stats ?algorithm ?order ?domains ?cancel ?kernel lb q)
+let certain_boolean ?algorithm ?order ?domains ?cancel lb q =
+  fst (certain_boolean_stats ?algorithm ?order ?domains ?cancel lb q)
 
 let possible_member_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Interned) lb q
-    tuple =
+    ?(order = Fresh_first) ?(domains = 1) ?cancel lb q tuple =
   validate lb q;
   validate_tuple lb q tuple;
   if Query.is_boolean q then
     invalid_arg "Certain.possible_member: Boolean query; use possible_boolean";
   Obs.span "certain.possible_member" (fun () ->
-      decide_member ~target:true ~algorithm ~order ~domains ~cancel ~kernel lb
-        q tuple)
+      decide_member ~target:true ~algorithm ~order ~domains ~cancel lb q tuple)
 
-let possible_member ?algorithm ?order ?domains ?cancel ?kernel lb q tuple =
-  fst
-    (possible_member_stats ?algorithm ?order ?domains ?cancel ?kernel lb q
-       tuple)
+let possible_member ?algorithm ?order ?domains ?cancel lb q tuple =
+  fst (possible_member_stats ?algorithm ?order ?domains ?cancel lb q tuple)
 
 let possible_boolean_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Interned) lb q =
+    ?(order = Fresh_first) ?(domains = 1) ?cancel lb q =
   validate lb q;
   if not (Query.is_boolean q) then
     invalid_arg "Certain.possible_boolean: the query has answer variables";
   let body = Query.body q in
   Obs.span "certain.possible_boolean" (fun () ->
-      decide_boolean ~target:true ~algorithm ~order ~domains ~cancel ~kernel
-        lb body)
+      decide_boolean ~target:true ~algorithm ~order ~domains ~cancel
+        (source_of_plan (Iscan.prepare lb))
+        body)
 
-let possible_boolean ?algorithm ?order ?domains ?cancel ?kernel lb q =
-  fst (possible_boolean_stats ?algorithm ?order ?domains ?cancel ?kernel lb q)
+let possible_boolean ?algorithm ?order ?domains ?cancel lb q =
+  fst (possible_boolean_stats ?algorithm ?order ?domains ?cancel lb q)
 
 (* --- whole-answer entry points ------------------------------------ *)
 
 (* Per-query work hoisted out of the per-structure loop: one NNF pass,
-   one compilation to relational algebra, one optimizer pass. The plan
-   resolves base relations and constant symbols at run time, so it is
-   evaluated against every image database without recompilation.
-   Queries outside the algebra (second-order quantifiers) fall back to
-   direct Tarskian evaluation — still hoisting everything there is to
-   hoist, since [Eval.answer] keeps no per-query state. *)
-let prepare_answer lb q =
-  match Compile.prepared (Ph.ph1 lb) q with
-  | Some plan -> fun s -> Algebra.run s.image plan
-  | None -> fun s -> Eval.answer s.image q
+   one compilation to relational algebra, one optimizer pass, one
+   interning against the scan's symtab and one compilation to packed
+   flat code (Icode), so per-structure evaluation touches no strings
+   and walks no AST. Plans Icode cannot pack (hash-join nodes, radix
+   overflow) run on the Iplan interpreter, and queries outside the
+   algebra (second-order quantifiers) on Icode's direct enumerator;
+   both are counted as [certain.interp_fallback], the one place the
+   engine quietly runs slower. *)
+let prepare_answer lb tab q =
+  match
+    Option.bind (Compile.prepared (Ph.ph1 lb) q) (Iplan.of_algebra tab)
+  with
+  | Some iplan ->
+    let prog = Icode.compile_plan tab iplan in
+    if Option.is_none (Icode.instrs prog) then
+      Obs.count "certain.interp_fallback" 1;
+    fun (s : Iscan.structure) -> Icode.exec s.idb prog
+  | None ->
+    Obs.count "certain.interp_fallback" 1;
+    let ca = Icode.compile_answer tab q in
+    fun s -> Icode.Rows (Icode.run_answer s.idb ca)
 
 (* [|C|^k], saturating at [max_int] — only used for the
    pruned-candidates counter, never for enumeration. *)
@@ -467,75 +386,32 @@ let candidate_count lb k =
   in
   go 1 k
 
-(* Interned mirror of [prepare_answer]: the compiled plan is interned
-   once against the scan's symtab, so per-structure evaluation touches
-   no strings at all. Queries the algebra cannot express fall back to
-   the interned Tarskian evaluator. *)
-let prepare_answer_interned lb tab q =
-  match
-    Option.bind (Compile.prepared (Ph.ph1 lb) q) (Iplan.of_algebra tab)
-  with
-  | Some iplan -> fun (s : Iscan.structure) -> Iplan.run s.idb iplan
-  | None -> fun s -> Ieval.answer s.idb q
+(* The discrete structure's answer, unpacked once: its renaming is the
+   identity, so its rows are already candidate tuples over constant
+   codes. Packed keys are in radix [Symtab.size] at the query's
+   arity. *)
+let seed_of ~radix q source image_answer =
+  Obs.span "certain.seed" (fun () ->
+      let seed =
+        Icode.rows ~radix ~arity:(Query.arity q)
+          (image_answer (source.source_discrete ()))
+      in
+      Obs.count "certain.structures" 1;
+      Obs.count "certain.evaluations" 1;
+      seed)
 
-(* Flat-code mirror of [prepare_answer_interned]: the interned plan is
-   further compiled to a packed instruction program (Icode), and the
-   non-algebra fallback to a register-machine enumerator. Both
-   compilers are total — anything they cannot compile faithfully runs
-   through the interpreters they mirror — so this stays drop-in
-   observationally equal to the interned preparer. *)
-let prepare_answer_compiled lb tab q =
-  match
-    Option.bind (Compile.prepared (Ph.ph1 lb) q) (Iplan.of_algebra tab)
-  with
-  | Some iplan ->
-    let prog = Icode.compile_plan tab iplan in
-    fun (s : Iscan.structure) -> Icode.exec s.idb prog
-  | None ->
-    let ca = Icode.compile_answer tab q in
-    fun s -> Icode.run_answer s.idb ca
-
-(* [prepare_answer_compiled] plus the packed survivor-filter probe: the
-   second component tests membership in the structure's image answer
-   without unpacking it into rows ([Icode.exec_member]). Only the
-   direct (non-prepared) scan uses it — prepared/session paths keep the
-   materializing closure so their memo wrappers observe every image. *)
-let prepare_member_compiled lb tab q =
-  match
-    Option.bind (Compile.prepared (Ph.ph1 lb) q) (Iplan.of_algebra tab)
-  with
-  | Some iplan ->
-    let prog = Icode.compile_plan tab iplan in
-    ( (fun (s : Iscan.structure) -> Icode.exec s.idb prog),
-      fun (s : Iscan.structure) ->
-        Icode.exec_member s.idb prog ~rename:s.rename )
-  | None ->
-    let ca = Icode.compile_answer tab q in
-    ( (fun (s : Iscan.structure) -> Icode.run_answer s.idb ca),
-      fun (s : Iscan.structure) ->
-        let ia = Icode.run_answer s.idb ca in
-        fun row -> Irel.mem (rename_row s.rename row) ia )
-
-let answer_stats_interned ~algorithm ~order ~domains ~cancel ?prep ?member lb
-    q =
+(* [prep] yields the structure source and the per-structure answer
+   function — built fresh for a direct call, taken from a prepared
+   query otherwise — inside the [certain.prepare] span. *)
+let answer_scan ~algorithm ~order ~domains ~cancel ~prep lb q =
   let started = now_ns () in
-  let source, image_answer =
-    Obs.span "certain.prepare" (fun () ->
-        match prep with
-        | Some prep -> prep
-        | None ->
-          let plan = Iscan.prepare lb in
-          ( source_of_plan plan,
-            prepare_answer_interned lb (Iscan.symtab plan) q ))
-  in
-  let plan = source.source_plan in
-  let seed =
-    Obs.span "certain.seed" (fun () ->
-        let seed = image_answer (source.source_discrete ()) in
-        Obs.count "certain.structures" 1;
-        Obs.count "certain.evaluations" 1;
-        seed)
-  in
+  let source, image_answer = Obs.span "certain.prepare" prep in
+  (* Pruning: the certain answer is contained in the answer over every
+     structure, in particular the discrete one (Ph₁ under the identity
+     renaming — always a valid structure). Seeding the survivor set
+     from it replaces the full |C|^k candidate relation. *)
+  let radix = Symtab.size (Iscan.symtab source.source_plan) in
+  let seed = seed_of ~radix q source image_answer in
   let pruned = candidate_count lb (Query.arity q) - Irel.cardinal seed in
   Obs.count "certain.pruned" pruned;
   let survivors = Atomic.make seed in
@@ -548,15 +424,13 @@ let answer_stats_interned ~algorithm ~order ~domains ~cancel ?prep ?member lb
     loop ()
   in
   let consume (s : Iscan.structure) =
-    let mem_row =
-      match member with
-      | Some m -> m s
-      | None ->
-        let ia = image_answer s in
-        fun row -> Irel.mem (rename_row s.rename row) ia
-    in
+    let ia = image_answer s in
     let snapshot = Atomic.get survivors in
-    let doomed = Irel.filter (fun row -> not (mem_row row)) snapshot in
+    let doomed =
+      Irel.filter
+        (fun row -> not (Icode.mem ~radix ia ~rename:s.rename row))
+        snapshot
+    in
     if not (Irel.is_empty doomed) then remove doomed
   in
   let examined =
@@ -570,7 +444,7 @@ let answer_stats_interned ~algorithm ~order ~domains ~cancel ?prep ?member lb
   let result = Atomic.get survivors in
   let early = Irel.is_empty result in
   Obs.count "certain.early_exit" (if early then 1 else 0);
-  ( Irel.to_relation (Iscan.symtab plan) result,
+  ( Irel.to_relation (Iscan.symtab source.source_plan) result,
     {
       structures = examined + 1;
       evaluations = examined + 1;
@@ -581,115 +455,34 @@ let answer_stats_interned ~algorithm ~order ~domains ~cancel ?prep ?member lb
       interrupted = interruption cancel ~decided:early;
     } )
 
-let answer_stats_strings ~algorithm ~order ~domains ~cancel ?prep lb q =
-  let started = now_ns () in
-  let image_answer =
-    Obs.span "certain.prepare" (fun () ->
-        match prep with Some f -> f | None -> prepare_answer lb q)
-  in
-  (* Pruning: the certain answer is contained in the answer over every
-     structure, in particular the discrete one (Ph₁ under the identity
-     renaming — always a valid structure). Seeding the survivor set
-     from it replaces the full |C|^k candidate relation. *)
-  let seed =
-    Obs.span "certain.seed" (fun () ->
-        let seed = image_answer (discrete_structure lb) in
-        Obs.count "certain.structures" 1;
-        Obs.count "certain.evaluations" 1;
-        seed)
-  in
-  let pruned = candidate_count lb (Query.arity q) - Relation.cardinal seed in
-  Obs.count "certain.pruned" pruned;
-  let survivors = Atomic.make seed in
-  let remove doomed =
-    let rec loop () =
-      let cur = Atomic.get survivors in
-      let next = Relation.diff cur doomed in
-      if not (Atomic.compare_and_set survivors cur next) then loop ()
-    in
-    loop ()
-  in
-  let consume s =
-    let ia = image_answer s in
-    let snapshot = Atomic.get survivors in
-    let doomed =
-      Relation.filter
-        (fun tuple -> not (Relation.mem (List.map s.rename tuple) ia))
-        snapshot
-    in
-    if not (Relation.is_empty doomed) then remove doomed
-  in
-  let examined =
-    drive ~domains ~cancel
-      ~stop:(fun () -> Relation.is_empty (Atomic.get survivors))
-      consume
-      (admit_within cancel ~structures:1 ~evaluations:1
-         (rest_after_discrete algorithm order
-            (structure_thunks algorithm order lb)))
-  in
-  let result = Atomic.get survivors in
-  let early = Relation.is_empty result in
-  Obs.count "certain.early_exit" (if early then 1 else 0);
-  ( result,
-    {
-      structures = examined + 1;
-      evaluations = examined + 1;
-      early_exit = early;
-      pruned_candidates = pruned;
-      wall_ns = Int64.sub (now_ns ()) started;
-      domains_used = worker_count domains;
-      interrupted = interruption cancel ~decided:early;
-    } )
+let fresh_prep lb q () =
+  let plan = Iscan.prepare lb in
+  (source_of_plan plan, prepare_answer lb (Iscan.symtab plan) q)
 
 let answer_stats ?(algorithm = Kernel_partitions) ?(order = Fresh_first)
-    ?(domains = 1) ?cancel ?(kernel = Interned) lb q =
+    ?(domains = 1) ?cancel lb q =
   validate lb q;
   Obs.span "certain.answer" (fun () ->
-      match kernel with
-      | Strings -> answer_stats_strings ~algorithm ~order ~domains ~cancel lb q
-      | Interned ->
-        answer_stats_interned ~algorithm ~order ~domains ~cancel lb q
-      | Compiled ->
-        let plan = Iscan.prepare lb in
-        let image_answer, member =
-          prepare_member_compiled lb (Iscan.symtab plan) q
-        in
-        answer_stats_interned ~algorithm ~order ~domains ~cancel
-          ~prep:(source_of_plan plan, image_answer)
-          ~member lb q)
+      answer_scan ~algorithm ~order ~domains ~cancel ~prep:(fresh_prep lb q) lb
+        q)
 
-let answer ?algorithm ?order ?domains ?cancel ?kernel lb q =
-  fst (answer_stats ?algorithm ?order ?domains ?cancel ?kernel lb q)
+let answer ?algorithm ?order ?domains ?cancel lb q =
+  fst (answer_stats ?algorithm ?order ?domains ?cancel lb q)
 
-let candidates lb k =
-  Relation.full ~domain:(Cw_database.constants lb) k
-
-let possible_answer_stats_interned ~algorithm ~order ~domains ~cancel ?prep lb
-    q =
+let possible_scan ~algorithm ~order ~domains ~cancel ~prep q =
   let started = now_ns () in
-  let source, image_answer =
-    Obs.span "certain.prepare" (fun () ->
-        match prep with
-        | Some prep -> prep
-        | None ->
-          let plan = Iscan.prepare lb in
-          ( source_of_plan plan,
-            prepare_answer_interned lb (Iscan.symtab plan) q ))
-  in
-  let plan = source.source_plan in
-  let tab = Iscan.symtab plan in
-  (* Same cap, same message as [candidates] on the string side. *)
+  let source, image_answer = Obs.span "certain.prepare" prep in
+  let tab = Iscan.symtab source.source_plan in
+  (* The candidate relation is built once (not per structure), under
+     [Irel.full]'s enumeration cap; the discrete structure seeds the
+     found set — every tuple it answers is witnessed and needs no
+     further search. *)
   let all_candidates =
     Irel.full ~domain:(Array.init (Symtab.size tab) Fun.id) (Query.arity q)
   in
   let total = Irel.cardinal all_candidates in
-  let seed =
-    Obs.span "certain.seed" (fun () ->
-        let seed = image_answer (source.source_discrete ()) in
-        Obs.count "certain.structures" 1;
-        Obs.count "certain.evaluations" 1;
-        seed)
-  in
+  let radix = Symtab.size tab in
+  let seed = seed_of ~radix q source image_answer in
   Obs.count "certain.pruned" (Irel.cardinal seed);
   let found = Atomic.make seed in
   let saturated () = Irel.cardinal (Atomic.get found) >= total in
@@ -705,7 +498,7 @@ let possible_answer_stats_interned ~algorithm ~order ~domains ~cancel ?prep lb
     let ia = image_answer s in
     let remaining = Irel.diff all_candidates (Atomic.get found) in
     let gained =
-      Irel.filter (fun row -> Irel.mem (rename_row s.rename row) ia) remaining
+      Irel.filter (fun row -> Icode.mem ~radix ia ~rename:s.rename row) remaining
     in
     if not (Irel.is_empty gained) then add gained
   in
@@ -729,218 +522,74 @@ let possible_answer_stats_interned ~algorithm ~order ~domains ~cancel ?prep lb
       interrupted = interruption cancel ~decided:early;
     } )
 
-let possible_answer_stats_strings ~algorithm ~order ~domains ~cancel ?prep lb
-    q =
-  let started = now_ns () in
-  let image_answer =
-    Obs.span "certain.prepare" (fun () ->
-        match prep with Some f -> f | None -> prepare_answer lb q)
-  in
-  (* The candidate relation is built once (not per structure); the
-     discrete structure seeds the found set — every tuple it answers is
-     witnessed and needs no further search. *)
-  let all_candidates = candidates lb (Query.arity q) in
-  let total = Relation.cardinal all_candidates in
-  let seed =
-    Obs.span "certain.seed" (fun () ->
-        let seed = image_answer (discrete_structure lb) in
-        Obs.count "certain.structures" 1;
-        Obs.count "certain.evaluations" 1;
-        seed)
-  in
-  Obs.count "certain.pruned" (Relation.cardinal seed);
-  let found = Atomic.make seed in
-  let saturated () = Relation.cardinal (Atomic.get found) >= total in
-  let add gained =
-    let rec loop () =
-      let cur = Atomic.get found in
-      let next = Relation.union cur gained in
-      if not (Atomic.compare_and_set found cur next) then loop ()
-    in
-    loop ()
-  in
-  let consume s =
-    let ia = image_answer s in
-    let remaining = Relation.diff all_candidates (Atomic.get found) in
-    let gained =
-      Relation.filter
-        (fun tuple -> Relation.mem (List.map s.rename tuple) ia)
-        remaining
-    in
-    if not (Relation.is_empty gained) then add gained
-  in
-  let examined =
-    drive ~domains ~cancel ~stop:saturated consume
-      (admit_within cancel ~structures:1 ~evaluations:1
-         (rest_after_discrete algorithm order
-            (structure_thunks algorithm order lb)))
-  in
-  let result = Atomic.get found in
-  let early = Relation.cardinal result >= total in
-  Obs.count "certain.early_exit" (if early then 1 else 0);
-  ( result,
-    {
-      structures = examined + 1;
-      evaluations = examined + 1;
-      early_exit = early;
-      pruned_candidates = Relation.cardinal seed;
-      wall_ns = Int64.sub (now_ns ()) started;
-      domains_used = worker_count domains;
-      interrupted = interruption cancel ~decided:early;
-    } )
-
 let possible_answer_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Interned) lb q =
+    ?(order = Fresh_first) ?(domains = 1) ?cancel lb q =
   validate lb q;
   Obs.span "certain.possible_answer" (fun () ->
-      match kernel with
-      | Strings ->
-        possible_answer_stats_strings ~algorithm ~order ~domains ~cancel lb q
-      | Interned ->
-        possible_answer_stats_interned ~algorithm ~order ~domains ~cancel lb q
-      | Compiled ->
-        let plan = Iscan.prepare lb in
-        possible_answer_stats_interned ~algorithm ~order ~domains ~cancel
-          ~prep:
-            ( source_of_plan plan,
-              prepare_answer_compiled lb (Iscan.symtab plan) q )
-          lb q)
+      possible_scan ~algorithm ~order ~domains ~cancel ~prep:(fresh_prep lb q) q)
 
-let possible_answer ?algorithm ?order ?domains ?cancel ?kernel lb q =
-  fst (possible_answer_stats ?algorithm ?order ?domains ?cancel ?kernel lb q)
+let possible_answer ?algorithm ?order ?domains ?cancel lb q =
+  fst (possible_answer_stats ?algorithm ?order ?domains ?cancel lb q)
 
 (* --- prepared queries (the plan-cache contract) -------------------- *)
 
-(* A [prepared] bundles everything per-(database, query, kernel) that
-   the entry points above rebuild on every call: the interned database
-   ([Iscan.prepare] — symtab, coded facts, per-depth buckets) and, for
-   relational queries, the compiled image-answer plan. All pieces are
-   immutable after [prepare], so one prepared query can serve any
-   number of concurrent scans — the serve layer's plan cache counts on
-   it. Boolean queries skip the compile (the deciders evaluate the body
-   directly); [prepared_answer_stats] on a Boolean-headed query falls
-   back to compiling on the fly, exactly like the unprepared path. *)
+(* A [prepared] bundles everything per-(database, query) that the entry
+   points above rebuild on every call: the structure source (the
+   interned database — symtab, coded facts, per-depth buckets — or a
+   session's cached stream) and, for relational queries, the compiled
+   image-answer function. All pieces are immutable after preparation,
+   so one prepared query can serve any number of concurrent scans — the
+   serve layer's plan cache counts on it. Boolean queries skip the
+   compile (the deciders evaluate the body directly);
+   [prepared_answer_stats] on a Boolean-headed query compiles on the
+   fly, exactly like the unprepared path. *)
 type prepared = {
   p_lb : Cw_database.t;
   p_query : Query.t;
-  p_kernel : kernel;
-  p_impl : prepared_impl;
+  p_source : scan_source;
+  p_answer : (Iscan.structure -> Icode.answer) option;
+  p_check : ((Iscan.structure -> bool) -> Iscan.structure -> bool) option;
 }
 
-and prepared_impl =
-  | Prepared_strings of (structure -> Relation.t) option
-  | Prepared_interned of {
-      pi_source : scan_source;
-      pi_answer : (Iscan.structure -> Irel.t) option;
-      pi_check :
-        ((Iscan.structure -> bool) -> Iscan.structure -> bool) option;
-    }
-
-let prepare ?(kernel = Interned) lb q =
+let prepare_from ~source ?wrap_answer ?wrap_check lb q =
   validate lb q;
   Obs.span "certain.prepare" (fun () ->
-      let impl =
-        match kernel with
-        | Strings ->
-          Prepared_strings
-            (if Query.is_boolean q then None else Some (prepare_answer lb q))
-        | Interned ->
-          let plan = Iscan.prepare lb in
-          Prepared_interned
-            {
-              pi_source = source_of_plan plan;
-              pi_answer =
-                (if Query.is_boolean q then None
-                 else Some (prepare_answer_interned lb (Iscan.symtab plan) q));
-              pi_check = None;
-            }
-        | Compiled ->
-          let plan = Iscan.prepare lb in
-          Prepared_interned
-            {
-              pi_source = source_of_plan plan;
-              pi_answer =
-                (if Query.is_boolean q then None
-                 else Some (prepare_answer_compiled lb (Iscan.symtab plan) q));
-              pi_check = None;
-            }
-      in
-      { p_lb = lb; p_query = q; p_kernel = kernel; p_impl = impl })
-
-let prepare_with ?(kernel = Interned) ~source ?wrap_answer ?wrap_check lb q =
-  validate lb q;
-  let prepare_base =
-    match kernel with
-    | Interned -> prepare_answer_interned
-    | Compiled -> prepare_answer_compiled
-    | Strings ->
-      invalid_arg "Certain.prepare_with: kernel must be Interned or Compiled"
-  in
-  Obs.span "certain.prepare" (fun () ->
-      let pi_answer =
+      let source = source () in
+      let p_answer =
         if Query.is_boolean q then None
         else
-          let base = prepare_base lb (Iscan.symtab source.source_plan) q in
+          let base = prepare_answer lb (Iscan.symtab source.source_plan) q in
           Some (match wrap_answer with Some w -> w base | None -> base)
       in
-      {
-        p_lb = lb;
-        p_query = q;
-        p_kernel = kernel;
-        p_impl =
-          Prepared_interned { pi_source = source; pi_answer; pi_check = wrap_check };
-      })
+      { p_lb = lb; p_query = q; p_source = source; p_answer; p_check = wrap_check })
+
+let prepare lb q =
+  prepare_from ~source:(fun () -> source_of_plan (Iscan.prepare lb)) lb q
+
+let prepare_with ~source ?wrap_answer ?wrap_check lb q =
+  prepare_from ~source:(fun () -> source) ?wrap_answer ?wrap_check lb q
 
 let prepared_db p = p.p_lb
 let prepared_query p = p.p_query
-let prepared_kernel p = p.p_kernel
 
-(* Boolean-headed prepared queries carry no answer closure; rebuild one
-   on the fly with the kernel the query was prepared for. ([Strings]
-   never pairs with [Prepared_interned]; the branch is just totality.) *)
-let prepared_image_answer p pi_source =
-  let tab = Iscan.symtab pi_source.source_plan in
-  match p.p_kernel with
-  | Compiled -> prepare_answer_compiled p.p_lb tab p.p_query
-  | Strings | Interned -> prepare_answer_interned p.p_lb tab p.p_query
+let prepared_prep p () =
+  ( p.p_source,
+    match p.p_answer with
+    | Some f -> f
+    | None ->
+      prepare_answer p.p_lb (Iscan.symtab p.p_source.source_plan) p.p_query )
 
 let prepared_answer_stats ?(algorithm = Kernel_partitions)
     ?(order = Fresh_first) ?(domains = 1) ?cancel p =
   Obs.span "certain.answer" (fun () ->
-      match p.p_impl with
-      | Prepared_strings ia ->
-        let prep =
-          match ia with Some f -> f | None -> prepare_answer p.p_lb p.p_query
-        in
-        answer_stats_strings ~algorithm ~order ~domains ~cancel ~prep p.p_lb
-          p.p_query
-      | Prepared_interned { pi_source; pi_answer; _ } ->
-        let image_answer =
-          match pi_answer with
-          | Some f -> f
-          | None -> prepared_image_answer p pi_source
-        in
-        answer_stats_interned ~algorithm ~order ~domains ~cancel
-          ~prep:(pi_source, image_answer) p.p_lb p.p_query)
+      answer_scan ~algorithm ~order ~domains ~cancel ~prep:(prepared_prep p)
+        p.p_lb p.p_query)
 
 let prepared_possible_answer_stats ?(algorithm = Kernel_partitions)
     ?(order = Fresh_first) ?(domains = 1) ?cancel p =
   Obs.span "certain.possible_answer" (fun () ->
-      match p.p_impl with
-      | Prepared_strings ia ->
-        let prep =
-          match ia with Some f -> f | None -> prepare_answer p.p_lb p.p_query
-        in
-        possible_answer_stats_strings ~algorithm ~order ~domains ~cancel ~prep
-          p.p_lb p.p_query
-      | Prepared_interned { pi_source; pi_answer; _ } ->
-        let image_answer =
-          match pi_answer with
-          | Some f -> f
-          | None -> prepared_image_answer p pi_source
-        in
-        possible_answer_stats_interned ~algorithm ~order ~domains ~cancel
-          ~prep:(pi_source, image_answer) p.p_lb p.p_query)
+      possible_scan ~algorithm ~order ~domains ~cancel ~prep:(prepared_prep p)
+        p.p_query)
 
 let prepared_boolean_decide ~target ~span ~name ?(algorithm = Kernel_partitions)
     ?(order = Fresh_first) ?(domains = 1) ?cancel p =
@@ -948,14 +597,8 @@ let prepared_boolean_decide ~target ~span ~name ?(algorithm = Kernel_partitions)
     invalid_arg (Printf.sprintf "Certain.%s: the query has answer variables" name);
   let body = Query.body p.p_query in
   Obs.span span (fun () ->
-      match p.p_impl with
-      | Prepared_strings _ ->
-        decide_boolean ~target ~algorithm ~order ~domains ~cancel
-          ~kernel:Strings p.p_lb body
-      | Prepared_interned { pi_source; pi_check; _ } ->
-        decide_boolean ~target ~algorithm ~order ~domains ~cancel
-          ~kernel:p.p_kernel ~source:pi_source ?wrap_check:pi_check p.p_lb
-          body)
+      decide_boolean ~target ~algorithm ~order ~domains ~cancel
+        ?wrap_check:p.p_check p.p_source body)
 
 let prepared_certain_boolean_stats ?algorithm ?order ?domains ?cancel p =
   let refuted, stats =

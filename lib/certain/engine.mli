@@ -33,9 +33,19 @@
       contained in every structure's answer; {!possible_answer} seeds
       its found set the same way and stops as soon as it saturates.
     - {e Plan reuse}: per-query work (NNF, compilation to relational
-      algebra via {!Vardi_relational.Compile.prepared}, optimization)
-      runs once per query, outside the per-structure loop; each
-      structure pays only plan evaluation.
+      algebra via {!Vardi_relational.Compile.prepared}, optimization,
+      interning and compilation to packed flat code via
+      {!Vardi_interned.Icode}) runs once per query, outside the
+      per-structure loop; each structure pays only plan evaluation.
+    - {e One kernel}: the scan runs on integer codes throughout.
+      Constants are interned once per call ({!Vardi_interned.Symtab}),
+      quotient images are built incrementally along the
+      partition-enumeration tree ({!Vardi_interned.Iscan}), and each
+      structure's answer stays packed ({!Vardi_interned.Icode.answer})
+      while the survivor filter probes it by binary search. Strings
+      reappear only in the returned relation. The string-keyed
+      brute-force evaluator the fuzz oracles diff against lives in
+      [Vardi_fuzz.Reference], outside the engine.
 
     {2 Budgets}
 
@@ -59,7 +69,10 @@
     ([certain.chunk], opened in the worker domain that claimed the
     chunk), plus counters [certain.structures], [certain.evaluations],
     [certain.pruned] and [certain.early_exit] attributed to the
-    emitting domain. With no sink installed (the default) each
+    emitting domain. [certain.interp_fallback] counts, once per
+    compiled answer plan, the plans that did not compile to packed code
+    (see {!Vardi_interned.Icode.compile_plan}) or have no relational
+    plan at all. With no sink installed (the default) each
     instrumentation point costs one atomic load; the counters, summed
     across domains, equal the corresponding {!stats} fields exactly —
     the test suite enforces this for [domains = 4]. *)
@@ -77,27 +90,13 @@ type order = Vardi_cwdb.Partition.order =
   | Fresh_first
   | Merge_first
 
-(** Evaluation kernel for the structure scan. {!Interned} (the
-    default) runs the whole scan on integer codes: constants are
-    interned once per call into a dense symtab
-    ({!Vardi_interned.Symtab}), tuples are [int array]s in sorted
-    array-backed relations ({!Vardi_interned.Irel}), compiled plans
-    execute entirely on codes ({!Vardi_interned.Iplan}), and quotient
-    images are built incrementally along the partition-enumeration
-    tree, sharing unchanged relations with the parent node
-    ({!Vardi_interned.Iscan}). Strings reappear only in the returned
-    relation. {!Compiled} goes one step further: it shares the
-    interned structure stream but compiles the per-structure
-    evaluators to flat code once per call
-    ({!Vardi_interned.Icode}) — relational plans become packed-integer
-    instruction programs with pre-resolved slots and divisors, and
-    formula checks become register-allocated closure chains — so the
-    per-tuple path has no AST dispatch and no polymorphic comparison
-    at all. {!Strings} is the original string-keyed path, kept as the
-    differential-testing reference. All three kernels enumerate
-    structures in the same order, so results, stats and positional
-    budget caps agree bit-for-bit — the three-way kernel-parity fuzz
-    oracle enforces this. *)
+(** Deprecated: the names of the evaluation kernels the engine used to
+    select between. There is one scan path now — interned structures
+    ({!Vardi_interned.Iscan}) evaluated by compiled flat code
+    ({!Vardi_interned.Icode}) — and no entry point takes a kernel. The
+    type survives only so that the [--kernel] CLI flag and the wire
+    protocol's ["kernel"] field can keep parsing the three names as
+    documented no-ops. *)
 type kernel =
   | Strings
   | Interned
@@ -152,7 +151,6 @@ val certain_member :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   string list ->
@@ -163,7 +161,6 @@ val certain_member_stats :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   string list ->
@@ -179,7 +176,6 @@ val certain_boolean :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   bool
@@ -189,7 +185,6 @@ val certain_boolean_stats :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   bool * stats
@@ -204,7 +199,6 @@ val answer :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   Vardi_relational.Relation.t
@@ -214,7 +208,6 @@ val answer_stats :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   Vardi_relational.Relation.t * stats
@@ -234,7 +227,6 @@ val possible_member :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   string list ->
@@ -245,7 +237,6 @@ val possible_member_stats :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   string list ->
@@ -256,7 +247,6 @@ val possible_boolean :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   bool
@@ -266,7 +256,6 @@ val possible_boolean_stats :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   bool * stats
@@ -282,7 +271,6 @@ val possible_answer :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   Vardi_relational.Relation.t
@@ -292,7 +280,6 @@ val possible_answer_stats :
   ?order:order ->
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?kernel:kernel ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   Vardi_relational.Relation.t * stats
@@ -313,17 +300,16 @@ val validate : Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> unit
     prepared query is immutable, so a single value may be evaluated
     concurrently from any number of domains. *)
 
-(** A query prepared against a specific database and kernel. *)
+(** A query prepared against a specific database. *)
 type prepared
 
-(** [prepare ?kernel lb q] validates [q] against [lb] and performs all
+(** [prepare lb q] validates [q] against [lb] and performs all
     per-query compilation under one [certain.prepare] span. For
     relational queries the image-answer plan is compiled eagerly; for
     Boolean queries there is no plan to compile (the deciders evaluate
     the body directly).
     @raise Invalid_argument as {!validate}. *)
-val prepare :
-  ?kernel:kernel -> Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> prepared
+val prepare : Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> prepared
 
 (** {1 Pluggable structure sources}
 
@@ -351,24 +337,23 @@ type scan_source = {
     exactly what the unprepared entry points use internally. *)
 val source_of_plan : Vardi_interned.Iscan.plan -> scan_source
 
-(** [prepare_with ?kernel ~source ?wrap_answer ?wrap_check lb q] is
-    {!prepare} on the {!Interned} kernel (or {!Compiled}, via
-    [?kernel]) with the structure stream taken from [source] instead
-    of a fresh [Iscan.prepare]. [wrap_answer] wraps the compiled
-    per-structure image-answer function (a session's per-query result
-    memo); [wrap_check] likewise wraps the Boolean per-structure check
-    used by the prepared Boolean deciders. Wrappers see the same
-    structures at the same stream positions as the unwrapped scan, so
-    memo hits change no stats and move no budget caps.
-    @raise Invalid_argument as {!validate}, or if [kernel] is
-    {!Strings} (which has no interned structure stream to share). *)
+(** [prepare_with ~source ?wrap_answer ?wrap_check lb q] is {!prepare}
+    with the structure stream taken from [source] instead of a fresh
+    [Iscan.prepare]. [wrap_answer] wraps the compiled per-structure
+    image-answer function (a session's per-query result memo, which
+    stores the {!Vardi_interned.Icode.answer} as computed — packed
+    keys, not unpacked rows); [wrap_check] likewise wraps the Boolean
+    per-structure check used by the prepared Boolean deciders. Wrappers
+    see the same structures at the same stream positions as the
+    unwrapped scan, so memo hits change no stats and move no budget
+    caps.
+    @raise Invalid_argument as {!validate}. *)
 val prepare_with :
-  ?kernel:kernel ->
   source:scan_source ->
   ?wrap_answer:
-    ((Vardi_interned.Iscan.structure -> Vardi_interned.Irel.t) ->
+    ((Vardi_interned.Iscan.structure -> Vardi_interned.Icode.answer) ->
     Vardi_interned.Iscan.structure ->
-    Vardi_interned.Irel.t) ->
+    Vardi_interned.Icode.answer) ->
   ?wrap_check:
     ((Vardi_interned.Iscan.structure -> bool) ->
     Vardi_interned.Iscan.structure ->
@@ -379,12 +364,10 @@ val prepare_with :
 
 val prepared_db : prepared -> Vardi_cwdb.Cw_database.t
 val prepared_query : prepared -> Vardi_logic.Query.t
-val prepared_kernel : prepared -> kernel
 
 (** [prepared_answer_stats p] is {!answer_stats} evaluated through the
     prepared plan — same results, same stats, same spans, minus the
-    per-call preparation cost. The kernel is the one fixed at
-    {!prepare} time. *)
+    per-call preparation cost. *)
 val prepared_answer_stats :
   ?algorithm:algorithm ->
   ?order:order ->

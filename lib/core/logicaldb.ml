@@ -12,9 +12,12 @@
     - {!Cw_database} / {!Axioms} / {!Ph} / {!Mapping} / {!Partition} /
       {!Ne_virtual} — CW logical databases (Sections 2.2, 3.1, 5);
     - {!Certain} — exact certain-answer evaluation via Theorem 1, on
-      top of the integer-coded kernel {!Symtab} / {!Irel} / {!Iplan} /
-      {!Ieval} / {!Iscan} (with the string path selectable via
-      [~kernel:Strings]);
+      one integer-coded kernel: {!Symtab} / {!Irel} / {!Iscan} build
+      the quotient structures and {!Icode} evaluates them as packed
+      flat code ({!Iplan} is its interpreter fallback; {!Ieval} is the
+      interpreter the compiler is tested against). The string-keyed
+      brute-force evaluator {!Fuzz_reference} is the oracles'
+      reference;
     - {!Approx} / {!Translate} / {!Alpha} / {!Disagree} /
       {!Precise_simulation} — the Section 3.2 precise simulation and
       the Section 5 approximation algorithm;
@@ -85,7 +88,7 @@ module Partition = Vardi_cwdb.Partition
 module Ne_virtual = Vardi_cwdb.Ne_virtual
 module Query_check = Vardi_cwdb.Query_check
 
-(* Interned evaluation kernel (integer-coded hot path of Certain) *)
+(* The evaluation kernel (integer-coded hot path of Certain) *)
 module Symtab = Vardi_interned.Symtab
 module Irel = Vardi_interned.Irel
 module Idb = Vardi_interned.Idb
@@ -166,6 +169,7 @@ module Fuzz_gen = Vardi_fuzz.Gen
 module Fuzz_oracle = Vardi_fuzz.Oracle
 module Fuzz_shrink = Vardi_fuzz.Shrink
 module Fuzz_corpus = Vardi_fuzz.Corpus
+module Fuzz_reference = Vardi_fuzz.Reference
 module Fuzz_noise = Vardi_fuzz.Noise
 
 (** {1 Convenience constructors} *)

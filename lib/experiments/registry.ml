@@ -19,7 +19,6 @@ let all =
     ("E10", "expression complexity ratio (Section 4)", E_scaling.e10);
     ("E11", "naive-tables baseline (Introduction)", E_baselines.e11);
     ("E12", "one-sided deciders and their residue", E_oneside.e12);
-    ("E15", "interned vs string evaluation kernel", E_kernel.e15);
     ("A1", "ablation: naive vs kernel exact engine", Ablations.a1);
     ("A2", "ablation: direct vs algebra back end", Ablations.a2);
     ("A3", "ablation: semantic vs syntactic alpha", Ablations.a3);

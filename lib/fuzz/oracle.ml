@@ -55,7 +55,6 @@ let oracle_ids =
     "resilient-qualified";
     "resilient-stats-honest";
     "resilient-fault-safety";
-    "resilient-kernel-parity";
     "query-roundtrip";
     "ldb-roundtrip";
     "typed-approx-sound";
@@ -331,14 +330,13 @@ let check_acq_parity ctx db q =
 
 (* --- the kernel-parity oracle ---
 
-   A three-way differential: the interned kernel (integer codes, array
-   tuples, shared-prefix quotients) and the compiled kernel (packed
-   flat code, register-allocated formula closures) must both be
-   observationally identical to the original string kernel: same
-   answers on every entry point, under both algorithms, both structure
-   orders, sequential and parallel. The string side is the reference —
-   it is the simplest implementation — and the other two are on
-   trial. *)
+   The engine's one scan path (interned structures, compiled flat code,
+   packed per-structure answers) must be observationally identical to
+   the brute-force string evaluator in [Reference]: same answers on
+   every entry point, under both algorithms, both structure orders,
+   sequential and parallel. The reference is the simplest
+   implementation of Theorem 1 and shares no code with the scan. The
+   oracle keeps its historical id so committed corpus cases replay. *)
 
 let check_kernel_parity ctx db q =
   let n = List.length (Cw_database.constants db) in
@@ -355,63 +353,57 @@ let check_kernel_parity ctx db q =
   let boolean = Query.is_boolean q in
   List.iter
     (fun (algorithm, alg_name) ->
+      let certain ~order ~domains () =
+        if boolean then
+          `Bool (Certain.certain_boolean ~algorithm ~order ~domains db q)
+        else `Rel (Certain.answer ~algorithm ~order ~domains db q)
+      and possible ~order ~domains () =
+        if boolean then
+          `Bool (Certain.possible_boolean ~algorithm ~order ~domains db q)
+        else `Rel (Certain.possible_answer ~algorithm ~order ~domains db q)
+      and certain_ref () =
+        if boolean then `Bool (Reference.certain_boolean ~algorithm db q)
+        else `Rel (Reference.answer ~algorithm db q)
+      and possible_ref () =
+        if boolean then `Bool (Reference.possible_boolean ~algorithm db q)
+        else `Rel (Reference.possible_answer ~algorithm db q)
+      in
       List.iter
-        (fun (order, ord_name) ->
-          List.iter
-            (fun domains ->
-              let label what =
-                Printf.sprintf "%s under %s/%s/domains=%d" what alg_name
-                  ord_name domains
-              in
-              let certain ~kernel () =
-                if boolean then
-                  `Bool
-                    (Certain.certain_boolean ~kernel ~algorithm ~order ~domains
-                       db q)
-                else `Rel (Certain.answer ~kernel ~algorithm ~order ~domains db q)
-              and possible ~kernel () =
-                if boolean then
-                  `Bool
-                    (Certain.possible_boolean ~kernel ~algorithm ~order ~domains
-                       db q)
-                else
-                  `Rel
-                    (Certain.possible_answer ~kernel ~algorithm ~order ~domains
-                       db q)
-              in
-              let on_trial =
-                [ (Certain.Interned, "interned"); (Certain.Compiled, "compiled") ]
-              in
-              List.iter
-                (fun (what, run) ->
-                  match guard ctx "kernel-parity" (run ~kernel:Certain.Strings)
-                  with
-                  | None -> ()
-                  | Some (`Bool reference) ->
-                    List.iter
-                      (fun (kernel, kname) ->
-                        expect_equal_bool ctx "kernel-parity" ~reference
-                          ~label:(label (what ^ "/" ^ kname)) (fun () ->
-                            match run ~kernel () with
-                            | `Bool b -> b
-                            | `Rel _ -> assert false))
-                      on_trial
-                  | Some (`Rel reference) ->
-                    List.iter
-                      (fun (kernel, kname) ->
-                        expect_equal_rel ctx "kernel-parity" ~reference
-                          ~label:(label (what ^ "/" ^ kname)) (fun () ->
-                            match run ~kernel () with
-                            | `Rel r -> r
-                            | `Bool _ -> assert false))
-                      on_trial)
-                [
-                  ((if boolean then "certain_boolean" else "answer"), certain);
-                  ( (if boolean then "possible_boolean" else "possible_answer"),
-                    possible );
-                ])
-            [ 1; 4 ])
-        orders)
+        (fun (what, reference, run) ->
+          match guard ctx "kernel-parity" reference with
+          | None -> ()
+          | Some reference ->
+            List.iter
+              (fun (order, ord_name) ->
+                List.iter
+                  (fun domains ->
+                    let label =
+                      Printf.sprintf "%s under %s/%s/domains=%d" what alg_name
+                        ord_name domains
+                    in
+                    match reference with
+                    | `Bool reference ->
+                      expect_equal_bool ctx "kernel-parity" ~reference ~label
+                        (fun () ->
+                          match run ~order ~domains () with
+                          | `Bool b -> b
+                          | `Rel _ -> assert false)
+                    | `Rel reference ->
+                      expect_equal_rel ctx "kernel-parity" ~reference ~label
+                        (fun () ->
+                          match run ~order ~domains () with
+                          | `Rel r -> r
+                          | `Bool _ -> assert false))
+                  [ 1; 4 ])
+              orders)
+        [
+          ( (if boolean then "certain_boolean" else "answer"),
+            certain_ref,
+            certain );
+          ( (if boolean then "possible_boolean" else "possible_answer"),
+            possible_ref,
+            possible );
+        ])
     algorithms
 
 (* --- resilience oracles ---
@@ -618,22 +610,10 @@ let check_fault_safety ctx ~domains ~seed db q =
           "a raising Obs sink was left installed")
   end
 
-(* --- the resilient kernel-parity oracle ---
-
-   Cancellation and fault provenance must not depend on the kernel.
-   The budget token is checked only by the shared scan scheduler —
-   never from inside [Ieval]'s bounded-SO fallback or the strings
-   evaluator — and the fault probe rides the same check, so a trip (or
-   an injected fault) observed by the strings kernel must be observed
-   at the same position by the interned kernel: same qualified
-   constructor and value, same [source]/[tripped]/[scan_failure]
-   provenance, same scan counters. Each kernel runs under its own
-   separately-armed fault plan with the same seed ([Faults.arm] resets
-   the visit counter), so both see identical injection decisions as
-   long as their probe sequences agree — which is exactly the parity
-   on trial. Wall-clock and [domains_used] are excluded; deadline
-   budgets are not used here (wall-clock trips are inherently
-   schedule-dependent). *)
+(* A resilient call's observable outcome as one comparable line: the
+   qualified constructor and value, the [source]/[tripped]/
+   [scan_failure] provenance and the scan counters. Wall-clock and
+   [domains_used] are excluded. *)
 
 let resilient_summary ~show (result, (stats : Resilient.stats)) =
   let reason = function
@@ -661,61 +641,13 @@ let resilient_summary ~show (result, (stats : Resilient.stats)) =
     (Option.value stats.Resilient.scan_failure ~default:"-")
     scan
 
-let check_resilient_kernel_parity ctx ~seed db q =
-  let boolean = Query.is_boolean q in
-  let summarize ~kernel ~policy () =
-    Faults.with_faults ~seed ~rate:0.2 (fun () ->
-        (* Under [Fail] an injected fault propagates by contract; that
-           raise is part of the observable behavior, so it goes into
-           the summary rather than through [guard]'s crash oracle —
-           both kernels must then raise the same exception. *)
-        match
-          if boolean then
-            resilient_summary ~show:string_of_bool
-              (Resilient.boolean_stats ~kernel ~policy ~budget:trip_budget db
-                 q)
-          else
-            resilient_summary ~show:rel
-              (Resilient.answer_stats ~kernel ~policy ~budget:trip_budget db q)
-        with
-        | summary -> summary
-        | exception Sys.Break -> raise Sys.Break
-        | exception e -> "raised " ^ Printexc.to_string e)
-  in
-  List.iter
-    (fun (policy, policy_name) ->
-      match
-        guard ctx "resilient-kernel-parity"
-          (summarize ~kernel:Certain.Strings ~policy)
-      with
-      | None -> ()
-      | Some strings ->
-        (* Each kernel replays the same armed fault plan (same seed),
-           so the summaries — including which probe tripped — must
-           match position for position. *)
-        List.iter
-          (fun (kernel, kname) ->
-            match
-              guard ctx "resilient-kernel-parity" (summarize ~kernel ~policy)
-            with
-            | Some on_trial ->
-              if not (String.equal strings on_trial) then
-                add ctx "resilient-kernel-parity"
-                  (Printf.sprintf
-                     "[%s] kernels diverge under faults:\n\
-                     \  strings:  %s\n\
-                     \  %s: %s" policy_name strings kname on_trial)
-            | None -> ())
-          [ (Certain.Interned, "interned"); (Certain.Compiled, "compiled") ])
-    policies
-
 (* --- the incremental-parity oracle ---
 
    An [Incr_session] with a random mutation sequence applied must stay
    observationally identical to from-scratch evaluation on the mutated
-   database: same answers under both structure orders and both session
-   kernels (interned and compiled), and — the positional contract — identical
-   resilient summaries under a tripping budget (same qualified
+   database: the same answers as [Reference] under both structure
+   orders, and — the positional contract — the same resilient summaries
+   as a freshly prepared query under a tripping budget (same qualified
    constructor, same provenance, same scan counters; a memo hit must
    occupy exactly the stream position a fresh evaluation would). The
    mutation sequence is derived deterministically from the instance, so
@@ -780,37 +712,30 @@ let check_incremental_parity ctx db q =
     in
     let compare_at step =
       let current = Session.db session in
-      let fresh ~kernel =
-        if boolean then `Bool (Certain.certain_boolean ~kernel current q)
-        else `Rel (Certain.answer ~kernel current q)
-      in
-      let reference = guard ctx oracle (fun () -> fresh ~kernel:Certain.Strings)
+      let reference =
+        guard ctx oracle (fun () ->
+            if boolean then `Bool (Reference.certain_boolean current q)
+            else `Rel (Reference.answer current q))
       in
       List.iter
         (fun (order, ord_name) ->
           let label what =
             Printf.sprintf "step %d, %s under %s" step what ord_name
           in
-          (* Answers: incremental vs the fresh strings kernel (the
-             fresh interned/compiled kernels are covered by
-             [kernel-parity]), under both session kernels. *)
-          List.iter
-            (fun (kernel, kname) ->
-              match reference with
-              | None -> ()
-              | Some (`Bool reference) ->
-                expect_equal_bool ctx oracle ~reference
-                  ~label:(label ("session answer/" ^ kname)) (fun () ->
-                    fst
-                      (Certain.prepared_certain_boolean_stats ~order
-                         (Session.prepare ~kernel session q)))
-              | Some (`Rel reference) ->
-                expect_equal_rel ctx oracle ~reference
-                  ~label:(label ("session answer/" ^ kname)) (fun () ->
-                    fst
-                      (Certain.prepared_answer_stats ~order
-                         (Session.prepare ~kernel session q))))
-            [ (Certain.Interned, "interned"); (Certain.Compiled, "compiled") ];
+          (match reference with
+          | None -> ()
+          | Some (`Bool reference) ->
+            expect_equal_bool ctx oracle ~reference
+              ~label:(label "session answer") (fun () ->
+                fst
+                  (Certain.prepared_certain_boolean_stats ~order
+                     (Session.prepare session q)))
+          | Some (`Rel reference) ->
+            expect_equal_rel ctx oracle ~reference
+              ~label:(label "session answer") (fun () ->
+                fst
+                  (Certain.prepared_answer_stats ~order
+                     (Session.prepare session q))));
           (* Budgets: fresh-prepared and session-prepared must trip at
              the same stream position with the same provenance. *)
           List.iter
@@ -825,29 +750,20 @@ let check_incremental_parity ctx db q =
                     (Resilient.prepared_answer_stats ~policy ~order
                        ~budget:trip_budget prepared)
               in
-              List.iter
-                (fun (kernel, kname) ->
-                  match
-                    ( guard ctx oracle
-                        (summarize (Certain.prepare ~kernel current q)),
-                      guard ctx oracle
-                        (summarize (Session.prepare ~kernel session q)) )
-                  with
-                  | Some fresh_summary, Some incr_summary ->
-                    if not (String.equal fresh_summary incr_summary) then
-                      add ctx oracle
-                        (Printf.sprintf
-                           "%s: budget behavior diverges:\n\
-                           \  fresh:       %s\n\
-                           \  incremental: %s"
-                           (label
-                              ("policy " ^ policy_name ^ "/" ^ kname))
-                           fresh_summary incr_summary)
-                  | _ -> ())
-                [
-                  (Certain.Interned, "interned");
-                  (Certain.Compiled, "compiled");
-                ])
+              match
+                ( guard ctx oracle (summarize (Certain.prepare current q)),
+                  guard ctx oracle (summarize (Session.prepare session q)) )
+              with
+              | Some fresh_summary, Some incr_summary ->
+                if not (String.equal fresh_summary incr_summary) then
+                  add ctx oracle
+                    (Printf.sprintf
+                       "%s: budget behavior diverges:\n\
+                       \  fresh:       %s\n\
+                       \  incremental: %s"
+                       (label ("policy " ^ policy_name))
+                       fresh_summary incr_summary)
+              | _ -> ())
             [ (Resilient.Fail, "Fail"); (Resilient.Partial, "Partial") ])
         [
           (Certain.Fresh_first, "Fresh_first");
@@ -1059,7 +975,6 @@ let check ?(domains = 2) ?faults_seed db q =
       (match faults_seed with
       | Some seed ->
         check_fault_safety ctx ~domains ~seed db q;
-        check_resilient_kernel_parity ctx ~seed db q;
         check_crash_recovery ctx ~seed db q
       | None -> ());
       check_incremental_parity ctx db q;

@@ -8,9 +8,8 @@
       the exact certain-answer engine agrees with itself across
       structure orders, algorithms (Theorem 1's literal mapping
       enumeration vs kernel partitions) and worker-domain counts;
-    - [kernel-parity]: the interned evaluation kernel
-      ({!Vardi_interned}) agrees with the string-keyed reference kernel
-      on [answer]/[certain_boolean] and
+    - [kernel-parity]: the engine agrees with the brute-force string
+      evaluator {!Reference} on [answer]/[certain_boolean] and
       [possible_answer]/[possible_boolean], under both algorithms, both
       structure orders, and [domains ∈ {1, 4}];
     - [approx-sound]: Theorem 11, [A(Q, LB) ⊆ Q(LB)];
@@ -45,12 +44,6 @@
       escapes a degrading policy, the lattice bounds still hold, and a
       raising Obs sink is caught, counted and disabled without
       changing the engine's verdict;
-    - [resilient-kernel-parity] (only with [faults_seed]): under
-      separately-armed fault plans with the same seed, the strings and
-      interned kernels degrade identically — same qualified
-      constructor and value, same [source]/[tripped]/[scan_failure]
-      provenance, same scan counters (wall-clock excluded), and under
-      the [Fail] policy the same propagated fault;
     - [crash-recovery] (only with [faults_seed]): a random mutation
       script runs against a {!Vardi_durable.Store} (sync [Always],
       checkpoint every 4 records) with fault injection armed; the
@@ -62,6 +55,11 @@
       prefix determined by the crash point (append crashes lose the
       in-flight mutation, fsync/snapshot crashes keep it), and a
       second recovery pass must land on the same state;
+    - [incremental-parity]: a {!Vardi_incr.Session} driven through a
+      random mutation script answers as {!Reference} does on the
+      mutated database after every step, and under a one-structure
+      budget its prepared queries trip at the same stream position,
+      with the same provenance, as freshly prepared ones;
     - [query-roundtrip], [ldb-roundtrip]: pretty-printed queries and
       databases reparse to equal values;
     - typed lane: [typed-approx-sound], [typed-query-roundtrip],
@@ -91,10 +89,9 @@ val oracle_ids : string list
     returns the violations, in check order (empty means the instance
     passed). [domains] (default 2) is the worker count for the
     parallel-engine comparison. [faults_seed] additionally runs the
-    [resilient-fault-safety] oracle under a fault plan armed with that
-    seed (rate 0.2), plus [resilient-kernel-parity] under the same
-    seed — omitted by default because injection perturbs timing, not
-    correctness. Emits a [fuzz.oracle] span and
+    [resilient-fault-safety] and [crash-recovery] oracles under fault
+    plans armed with that seed — omitted by default because injection
+    perturbs timing, not correctness. Emits a [fuzz.oracle] span and
     [fuzz.checks] / [fuzz.violations] counters. *)
 val check :
   ?domains:int ->

@@ -1,0 +1,63 @@
+(** A brute-force Theorem-1 evaluator on strings: the reference the
+    differential oracles and tests diff {!Vardi_certain.Engine}
+    against.
+
+    It enumerates the respecting renamings ([Partition.all_valid] or
+    [Mapping.all_respecting]), builds each image database
+    ([Partition.quotient] or [Mapping.image_db]) and evaluates the
+    query on it with the Tarskian evaluator {!Vardi_relational.Eval}.
+    It shares no code with the engine's scan — no interning, no
+    compiled plans, no pruning seed, no scheduler, budget or
+    observability — so a divergence points at the engine. *)
+
+(** One structure of Theorem 1: an image database and the renaming of
+    constants that produced it. *)
+type structure = {
+  image : Vardi_relational.Database.t;
+  rename : string -> string;
+}
+
+(** The structures in the engine's enumeration order for [algorithm]
+    (default [Kernel_partitions]) and [order] (kernel partitions
+    only). *)
+val structures :
+  ?algorithm:Vardi_certain.Engine.algorithm ->
+  ?order:Vardi_certain.Engine.order ->
+  Vardi_cwdb.Cw_database.t ->
+  structure Seq.t
+
+val certain_boolean :
+  ?algorithm:Vardi_certain.Engine.algorithm ->
+  Vardi_cwdb.Cw_database.t ->
+  Vardi_logic.Query.t ->
+  bool
+
+val possible_boolean :
+  ?algorithm:Vardi_certain.Engine.algorithm ->
+  Vardi_cwdb.Cw_database.t ->
+  Vardi_logic.Query.t ->
+  bool
+
+(** The certain answer: every candidate tuple over the constants that
+    every structure admits. *)
+val answer :
+  ?algorithm:Vardi_certain.Engine.algorithm ->
+  Vardi_cwdb.Cw_database.t ->
+  Vardi_logic.Query.t ->
+  Vardi_relational.Relation.t
+
+(** [answer_in structures lb q] is {!answer} quantified over the given
+    structures only — over a prefix of {!structures}, it is what a scan
+    capped at that position may report. *)
+val answer_in :
+  structure Seq.t ->
+  Vardi_cwdb.Cw_database.t ->
+  Vardi_logic.Query.t ->
+  Vardi_relational.Relation.t
+
+(** The possible answer: every candidate tuple some structure admits. *)
+val possible_answer :
+  ?algorithm:Vardi_certain.Engine.algorithm ->
+  Vardi_cwdb.Cw_database.t ->
+  Vardi_logic.Query.t ->
+  Vardi_relational.Relation.t

@@ -5,6 +5,7 @@ module Symtab = Vardi_interned.Symtab
 module Irel = Vardi_interned.Irel
 module Idb = Vardi_interned.Idb
 module Iscan = Vardi_interned.Iscan
+module Icode = Vardi_interned.Icode
 module Certain = Vardi_certain.Engine
 module Obs = Vardi_obs.Obs
 
@@ -47,9 +48,12 @@ type centry = {
   c_slots : (int * Irel.t) array;
 }
 
-type memo_rel = {
+(* The image answer is kept as the compiled kernel produced it —
+   packed keys, not unpacked rows — so a warm memo costs one int per
+   answer tuple. *)
+type memo_answer = {
   m_sig : int array;
-  m_rel : Irel.t;
+  m_answer : Icode.answer;
 }
 
 type memo_bool = {
@@ -59,7 +63,7 @@ type memo_bool = {
 
 type query_entry = {
   qe_deps : int array;  (* relation slots the query reads, sorted *)
-  qe_rels : memo_rel Rtbl.t;  (* renaming -> image answer *)
+  qe_answers : memo_answer Rtbl.t;  (* renaming -> image answer *)
   qe_bools : memo_bool Rtbl.t;  (* renaming -> Boolean check *)
 }
 
@@ -404,7 +408,7 @@ let query_entry t view q =
         let e =
           {
             qe_deps = deps_of (Iscan.symtab view.v_plan) q;
-            qe_rels = Rtbl.create 64;
+            qe_answers = Rtbl.create 64;
             qe_bools = Rtbl.create 64;
           }
         in
@@ -416,8 +420,8 @@ let wrap_answer t entry signature base (s : Iscan.structure) =
   let key = s.Iscan.rename in
   let hit =
     locked t (fun () ->
-        match Rtbl.find_opt entry.qe_rels key with
-        | Some { m_sig; m_rel } when m_sig = signature -> Some m_rel
+        match Rtbl.find_opt entry.qe_answers key with
+        | Some { m_sig; m_answer } when m_sig = signature -> Some m_answer
         | Some _ | None -> None)
   in
   match hit with
@@ -430,8 +434,11 @@ let wrap_answer t entry signature base (s : Iscan.structure) =
     Atomic.incr t.memo_misses;
     Obs.count "incr.memo_miss" 1;
     locked t (fun () ->
-        if Rtbl.mem entry.qe_rels key || Rtbl.length entry.qe_rels < t.capacity
-        then Rtbl.replace entry.qe_rels key { m_sig = signature; m_rel = r });
+        if
+          Rtbl.mem entry.qe_answers key
+          || Rtbl.length entry.qe_answers < t.capacity
+        then
+          Rtbl.replace entry.qe_answers key { m_sig = signature; m_answer = r });
     r
 
 let wrap_check t entry signature base (s : Iscan.structure) =
@@ -458,7 +465,7 @@ let wrap_check t entry signature base (s : Iscan.structure) =
         then Rtbl.replace entry.qe_bools key { b_sig = signature; b_val = r });
     r
 
-let prepare ?(kernel = Certain.Interned) t q =
+let prepare ?kernel:_ t q =
   let view = locked t (fun () -> t.view) in
   let entry = query_entry t view q in
   let signature = signature_of view entry.qe_deps in
@@ -468,10 +475,7 @@ let prepare ?(kernel = Certain.Interned) t q =
     Array.iter (fun slot -> a.(slot) <- true) entry.qe_deps;
     a
   in
-  (* The memo tables are shared across kernels on purpose: both produce
-     identical per-structure results (the kernel-parity contract), so a
-     value cached under one kernel is a sound hit under the other. *)
-  Certain.prepare_with ~kernel
+  Certain.prepare_with
     ~source:(source_for t view needed)
     ~wrap_answer:(wrap_answer t entry signature)
     ~wrap_check:(wrap_check t entry signature)

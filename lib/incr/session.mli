@@ -1,5 +1,5 @@
 (** Incremental evaluation sessions: a resident CW database that keeps
-    the interned kernel's heavy state — the {!Vardi_interned.Symtab},
+    the engine's heavy state — the {!Vardi_interned.Symtab},
     the {!Vardi_interned.Iscan} partition-tree quotients, and
     per-structure evaluation results — alive across queries and
     mutations, so a query after a small delta pays only for what the
@@ -113,18 +113,19 @@ type mutation =
     @raise Invalid_argument as the underlying operation. *)
 val apply : t -> mutation -> bool
 
-(** [prepare ?kernel t q] prepares [q] against the session's current
-    view. The result is a standard engine
-    {!Vardi_certain.Engine.prepared} — evaluate it through
-    [Certain.prepared_*_stats] or
+(** [prepare t q] prepares [q] against the session's current view.
+    The result is a standard engine {!Vardi_certain.Engine.prepared} —
+    evaluate it through [Certain.prepared_*_stats] or
     [Vardi_resilience.Resilient.prepared_*]. It captures the view at
     call time; after a mutation, call [prepare] again (the heavy state
     persists in the session, so re-preparing costs one query
-    compilation, not a rescan). [?kernel] selects [Interned] (default)
-    or [Compiled]; both share the session's structure cache and memo
-    tables — sound because the kernels are observationally identical.
-    @raise Invalid_argument as [Certain.prepare], or if [kernel] is
-    [Strings] (sessions cache interned structures). *)
+    compilation, not a rescan). The per-query memo stores each
+    structure's {!Vardi_interned.Icode.answer} as the compiled kernel
+    produced it (packed keys, not unpacked rows).
+
+    [?kernel] is deprecated and ignored: there is one kernel. It stays
+    in the signature only for callers that still pass it.
+    @raise Invalid_argument as [Certain.prepare]. *)
 val prepare :
   ?kernel:Vardi_certain.Engine.kernel ->
   t ->

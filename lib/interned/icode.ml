@@ -16,9 +16,10 @@ module Eval = Vardi_relational.Eval
      by binder depth, replacing the interpreter's assoc-list
      environments.
 
-   Parity with the interpreters is the overriding contract: the fuzz
-   battery diffs answers, error messages and trip positions across all
-   three kernels, so anything this module cannot compile *identically*
+   Parity with the interpreters is the overriding contract: the tests
+   diff answers and error messages against [Iplan.run] and [Ieval], and
+   the fuzz battery diffs the engine against a string-keyed reference,
+   so anything this module cannot compile *identically*
    (packing overflow, malformed plans whose interpreted failure mode is
    lazy) falls back to the interpreter rather than approximating. *)
 
@@ -502,55 +503,52 @@ let exec_packed_raw idb p =
   done;
   stack.(0)
 
-let exec_packed idb p =
-  let packed = exec_packed_raw idb p in
-  let n = p.p_n in
-  let k = p.p_out in
-  let len = Array.length packed in
-  let rows = Array.make len [||] in
-  for i = 0 to len - 1 do
-    let row = Array.make k 0 in
-    let v = ref (Array.unsafe_get packed i) in
-    for pos = k - 1 downto 0 do
-      Array.unsafe_set row pos (!v mod n);
-      v := !v / n
-    done;
-    Array.unsafe_set rows i row
-  done;
-  Irel.of_sorted k rows
+(* --- per-structure answers ------------------------------------------ *)
+
+type answer =
+  | Keys of int array
+  | Rows of Irel.t
 
 let exec idb = function
-  | Packed p -> exec_packed idb p
-  | Interp { plan; _ } -> Iplan.run idb plan
+  | Packed p -> Keys (exec_packed_raw idb p)
+  | Interp { plan; _ } -> Rows (Iplan.run idb plan)
 
-(* Membership in the structure's image answer without materializing it
-   as rows: candidate rows (over constant codes) rename and pack to a
-   single key, searched in the sorted packed result. Equivalent to
-   [Irel.mem (Array.map rename row) (exec idb prog)] — packing is
-   injective at fixed radix and arity — but allocation-free per probe.
-   The interpreter fallback materializes, exactly as [exec] would. *)
-let exec_member idb prog ~rename =
-  match prog with
-  | Packed p ->
-    let vals = exec_packed_raw idb p in
-    let n = p.p_n in
-    fun (row : int array) ->
-      let key = ref 0 in
-      for i = 0 to Array.length row - 1 do
-        key := (!key * n) + Array.unsafe_get rename (Array.unsafe_get row i)
+let rows ~radix:n ~arity:k = function
+  | Rows r -> r
+  | Keys keys ->
+    let len = Array.length keys in
+    let rows = Array.make len [||] in
+    for i = 0 to len - 1 do
+      let row = Array.make k 0 in
+      let v = ref (Array.unsafe_get keys i) in
+      for pos = k - 1 downto 0 do
+        Array.unsafe_set row pos (!v mod n);
+        v := !v / n
       done;
-      let key = !key in
-      let rec go lo hi =
-        if lo >= hi then false
-        else
-          let mid = (lo + hi) / 2 in
-          let v = Array.unsafe_get vals mid in
-          if key = v then true else if key < v then go lo mid else go (mid + 1) hi
-      in
-      go 0 (Array.length vals)
-  | Interp { plan; _ } ->
-    let ia = Iplan.run idb plan in
-    fun row -> Irel.mem (Array.map (fun c -> Array.unsafe_get rename c) row) ia
+      Array.unsafe_set rows i row
+    done;
+    Irel.of_sorted k rows
+
+(* Packing is injective at fixed radix and arity, so a candidate row
+   renames and packs to a single key searched in the sorted keys — no
+   row is materialized on either side. *)
+let mem ~radix:n answer ~rename (row : int array) =
+  match answer with
+  | Keys keys ->
+    let key = ref 0 in
+    for i = 0 to Array.length row - 1 do
+      key := (!key * n) + Array.unsafe_get rename (Array.unsafe_get row i)
+    done;
+    let key = !key in
+    let rec go lo hi =
+      if lo >= hi then false
+      else
+        let mid = (lo + hi) / 2 in
+        let v = Array.unsafe_get keys mid in
+        if key = v then true else if key < v then go lo mid else go (mid + 1) hi
+    in
+    go 0 (Array.length keys)
+  | Rows r -> mem_row (Array.map (fun c -> Array.unsafe_get rename c) row) r
 
 (* --- compiled formulas --------------------------------------------- *)
 

@@ -16,8 +16,9 @@
       merges and membership never chase a pointer and never call a
       comparison closure, and row order is preserved because packing is
       monotone in lexicographic order. Plans whose intermediate
-      arities overflow the packing radix fall back to {!Iplan.run}
-      (identical semantics, just unflattened).
+      arities overflow the packing radix, and plans with a hash
+      [Join]/[Semijoin] node, fall back to {!Iplan.run} (identical
+      semantics, just unflattened).
     - {e Formulas} ({!compile_sentence}, {!compile_member},
       {!compile_answer}) become closure chains over a mutable
       {e register file}: each first-order binder is assigned a fixed
@@ -30,7 +31,9 @@
       same caps and messages.
 
     Observational equivalence with [Iplan.run]/[Ieval] is a hard
-    contract (the three-way kernel-parity fuzz oracle enforces it):
+    contract (the compiler tests diff against both interpreters, and
+    the kernel-parity fuzz oracle diffs the engine against a
+    string-keyed reference):
     same answers, and the same [Eval.Eval_error]s with byte-identical
     messages {e at the same evaluation points} — compile-time-detectable
     errors (unknown predicate, arity clash, unbound variable) are
@@ -85,20 +88,40 @@ type prog
 (** [compile_plan tab plan] resolves [plan] against [tab] once. *)
 val compile_plan : Symtab.t -> Iplan.t -> prog
 
-(** [exec idb prog] evaluates the compiled plan against one image
-    database. Equal to [Iplan.run idb plan] for the source plan. *)
-val exec : Idb.t -> prog -> Irel.t
+(** One structure's image answer, as the engine's scans consume it:
+    [Keys] is the packed program's result as it comes off the operand
+    stack — the sorted packed rows, in radix [Symtab.size tab] at the
+    plan's output arity — and [Rows] the interpreter's relation, for
+    plans that fell back to {!Iplan.run} and for queries with no
+    relational plan ({!run_answer}). Neither form is unpacked per
+    structure: the survivor filter probes it with {!mem}, and only the
+    discrete seed is materialized with {!rows}. The keys carry no
+    radix or arity of their own — a memo holding one answer per
+    structure pays one word per answer tuple and nothing more — so
+    {!rows} and {!mem} take them from the caller. *)
+type answer =
+  | Keys of int array
+  | Rows of Irel.t
 
-(** [exec_member idb prog ~rename row] = [Irel.mem
-    (Array.map (fun c -> rename.(c)) row) (exec idb prog)], evaluated
-    once per structure and probed allocation-free per row: candidate
-    rows over constant codes rename and pack to a single integer key
-    searched in the packed result. The engine's survivor-filter hot
-    path. *)
-val exec_member : Idb.t -> prog -> rename:int array -> int array -> bool
+(** [exec idb prog] evaluates the compiled plan against one image
+    database; [rows (exec idb prog)] (at the symtab's size and
+    {!out_arity}) equals [Iplan.run idb plan] for the source plan. *)
+val exec : Idb.t -> prog -> answer
+
+(** [rows ~radix ~arity a] is the answer as an interned relation
+    (unpacks [Keys]; [Rows] is returned as is). *)
+val rows : radix:int -> arity:int -> answer -> Irel.t
+
+(** [mem ~radix a ~rename row] = [Irel.mem (Array.map (fun c ->
+    rename.(c)) row) (rows ~radix ~arity a)]: candidate rows over
+    constant codes are renamed into the structure and, for [Keys],
+    packed to a single integer searched in the keys — allocation-free
+    per probe. The engine's survivor-filter hot path. *)
+val mem : radix:int -> answer -> rename:int array -> int array -> bool
 
 (** The instruction array, or [None] when the plan fell back to the
-    AST interpreter (packing radix overflow). For the bounds tests. *)
+    AST interpreter (packing radix overflow, or a [Join]/[Semijoin]
+    node). For the bounds tests and the engine's fallback counter. *)
 val instrs : prog -> instr array option
 
 val out_arity : prog -> int

@@ -5,7 +5,7 @@ module Eval = Vardi_relational.Eval
 
 (* The interned mirror of [Vardi_relational.Eval]: Tarskian evaluation
    over an [Idb.t], raising [Eval.Eval_error] with messages identical
-   to the string side so the two kernels fail indistinguishably.
+   to the string side so the two evaluators fail indistinguishably.
    Environments are small assoc lists — query nesting depth bounds
    their length, and lookup beats a map below a dozen entries. *)
 

@@ -268,8 +268,9 @@ let product a b =
 
 (* Exact integer cap check: [acc > cap / n] implies [acc * n > cap],
    and the converse product never overflows because it stays below the
-   cap. Mirrors the string-side [Relation.full] so the two kernels trip
-   (or don't) on identical inputs with identical messages. *)
+   cap. Mirrors the string-side [Relation.full] so the engine and the
+   string-keyed reference trip (or don't) on identical inputs with
+   identical messages. *)
 let full_over_cap n k =
   k > 0 && n > 0
   &&

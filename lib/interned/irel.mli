@@ -9,8 +9,9 @@
     boundary.
 
     Enumeration caps ({!full}, {!subsets}) and their error messages
-    mirror the string side exactly, so the two kernels fail identically
-    — a property the differential fuzz oracle relies on. *)
+    mirror the string side exactly, so the engine fails exactly as the
+    string-keyed reference does — a property the differential fuzz
+    oracle relies on. *)
 
 type row = int array
 

@@ -4,10 +4,11 @@
     {!prepare} interns the database once; {!structure_thunks} then
     yields the kernel-partition stream in {e exactly} the order of
     [Partition.all_valid] — same restricted-growth branch order, same
-    [Fresh_first]/[Merge_first] choice points — so positional budget
-    caps truncate both kernels at the same structure. Unlike the string
-    path, which rebuilds every quotient from scratch through
-    [Mapping.image_db], the interned stream is incremental: a tree node
+    [Fresh_first]/[Merge_first] choice points — so a positional budget
+    cap truncates the scan at the same structure as the partition
+    enumeration itself. Unlike the brute-force string reference, which
+    rebuilds every quotient from scratch through [Partition.quotient]
+    or [Mapping.image_db], the interned stream is incremental: a tree node
     extends its parent by assigning one constant, copying only the
     relation slots touched by the facts that become final at that
     depth and sharing everything else ({e copy-on-extend}).

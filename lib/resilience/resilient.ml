@@ -80,30 +80,30 @@ let evaluate ~span ~policy ~budget ~scan ~fallback =
           approx_fallback ~tripped:None
             ~scan_failure:(Some (Printexc.to_string e)) ~scan_stats:None))
 
-let answer_stats ?(policy = Fail) ?algorithm ?order ?domains ?kernel
+let answer_stats ?(policy = Fail) ?algorithm ?order ?domains
     ?(budget = Budget.unlimited) lb q =
   Vardi_cwdb.Query_check.validate lb q;
   evaluate ~span:"resilience.answer" ~policy ~budget
     ~scan:(fun cancel ->
-      Certain.answer_stats ?algorithm ?order ?domains ?kernel ~cancel lb q)
+      Certain.answer_stats ?algorithm ?order ?domains ~cancel lb q)
     ~fallback:(fun () -> Approximation.answer lb q)
 
-let answer ?policy ?algorithm ?order ?domains ?kernel ?budget lb q =
-  fst (answer_stats ?policy ?algorithm ?order ?domains ?kernel ?budget lb q)
+let answer ?policy ?algorithm ?order ?domains ?budget lb q =
+  fst (answer_stats ?policy ?algorithm ?order ?domains ?budget lb q)
 
-let boolean_stats ?(policy = Fail) ?algorithm ?order ?domains ?kernel
+let boolean_stats ?(policy = Fail) ?algorithm ?order ?domains
     ?(budget = Budget.unlimited) lb q =
   Vardi_cwdb.Query_check.validate lb q;
   if not (Query.is_boolean q) then
     invalid_arg "Resilient.boolean: the query has answer variables";
   evaluate ~span:"resilience.boolean" ~policy ~budget
     ~scan:(fun cancel ->
-      Certain.certain_boolean_stats ?algorithm ?order ?domains ?kernel ~cancel
+      Certain.certain_boolean_stats ?algorithm ?order ?domains ~cancel
         lb q)
     ~fallback:(fun () -> Approximation.boolean lb q)
 
-let boolean ?policy ?algorithm ?order ?domains ?kernel ?budget lb q =
-  fst (boolean_stats ?policy ?algorithm ?order ?domains ?kernel ?budget lb q)
+let boolean ?policy ?algorithm ?order ?domains ?budget lb q =
+  fst (boolean_stats ?policy ?algorithm ?order ?domains ?budget lb q)
 
 (* Prepared variants: same contract, but the per-query compilation was
    paid at [Certain.prepare] time — these are what the serve layer's

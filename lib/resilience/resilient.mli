@@ -83,8 +83,8 @@ type stats = {
 (** [answer ~budget lb q] evaluates the certain answer [Q(LB)] under
     [budget] and degrades per [policy] (default [Fail]).
 
-    [?algorithm], [?order], [?domains], [?kernel] are passed to the
-    exact engine.
+    [?algorithm], [?order], [?domains] are passed to the exact
+    engine.
     Emits a [resilience.answer] span and, when degradation happens,
     [resilience.budget_trip] / [resilience.scan_failure] /
     [resilience.fallback] counters.
@@ -100,7 +100,6 @@ val answer :
   ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   ?domains:int ->
-  ?kernel:Vardi_certain.Engine.kernel ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -111,7 +110,6 @@ val answer_stats :
   ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   ?domains:int ->
-  ?kernel:Vardi_certain.Engine.kernel ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -124,7 +122,6 @@ val boolean :
   ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   ?domains:int ->
-  ?kernel:Vardi_certain.Engine.kernel ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -135,7 +132,6 @@ val boolean_stats :
   ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   ?domains:int ->
-  ?kernel:Vardi_certain.Engine.kernel ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -144,9 +140,8 @@ val boolean_stats :
 (** [prepared_answer_stats p] is {!answer_stats} evaluated through a
     {!Vardi_certain.Engine.prepared} query — per-query compilation was
     paid once at prepare time (the serve layer's plan-cache path). The
-    kernel is the one fixed at prepare time; the approximation fallback
-    recompiles from the stored database and query, which only happens
-    on degradation paths. *)
+    approximation fallback recompiles from the stored database and
+    query, which only happens on degradation paths. *)
 val prepared_answer_stats :
   ?policy:policy ->
   ?algorithm:Vardi_certain.Engine.algorithm ->

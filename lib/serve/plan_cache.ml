@@ -6,7 +6,6 @@ type key = {
   generation : int;
   delta : int;
   query_text : string;
-  kernel : Certain.kernel;
 }
 
 type t = {
@@ -31,9 +30,9 @@ let locked cache f =
   Mutex.lock cache.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache.lock) f
 
-let find_or_prepare cache ~db_name ~generation ~delta ~query_text ~kernel
+let find_or_prepare cache ~db_name ~generation ~delta ~query_text ?kernel:_
     prepare =
-  let key = { db_name; generation; delta; query_text; kernel } in
+  let key = { db_name; generation; delta; query_text } in
   match locked cache (fun () -> Hashtbl.find_opt cache.table key) with
   | Some prepared ->
     Atomic.incr cache.hits;

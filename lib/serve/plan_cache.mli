@@ -1,9 +1,9 @@
 (** Shared plan cache: one {!Vardi_certain.Engine.prepared} per
-    (database, query text, kernel), reused across requests, clients
-    and worker domains.
+    (database, query text), reused across requests, clients and worker
+    domains.
 
-    The key is [(db name, generation, delta epoch, query, kernel)] —
-    two-level invalidation:
+    The key is [(db name, generation, delta epoch, query)] — two-level
+    invalidation:
 
     - The {e generation} is bumped by the server every time a name is
       (re)loaded, so a reload invalidates every plan prepared against
@@ -35,10 +35,12 @@ type t
 val create : ?capacity:int -> unit -> t
 
 (** [find_or_prepare cache ~db_name ~generation ~delta ~query_text
-    ~kernel prepare] returns the cached plan for the key, or calls
+    prepare] returns the cached plan for the key, or calls
     [prepare ()], caches and returns the fresh plan. The preparation
     runs outside the cache lock — two racing misses on the same key may
     both prepare, and the later insert wins; both plans are valid.
+    [?kernel] is deprecated and ignored (there is one kernel, so it is
+    not part of the key); it stays for callers that still pass it.
     @raise Invalid_argument as the supplied [prepare]. *)
 val find_or_prepare :
   t ->
@@ -46,7 +48,7 @@ val find_or_prepare :
   generation:int ->
   delta:int ->
   query_text:string ->
-  kernel:Vardi_certain.Engine.kernel ->
+  ?kernel:Vardi_certain.Engine.kernel ->
   (unit -> Vardi_certain.Engine.prepared) ->
   Vardi_certain.Engine.prepared * [ `Hit | `Miss ]
 

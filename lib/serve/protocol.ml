@@ -37,7 +37,7 @@ type eval_options = {
 
 let default_options =
   {
-    kernel = Certain.Interned;
+    kernel = Certain.Compiled;
     domains = 1;
     policy = Resilient.Fail;
     timeout = None;
@@ -81,6 +81,9 @@ let positive_int_field j key =
     Error (Printf.sprintf "%S must be a positive integer" key, Semantic_error)
 
 let options_of_json j =
+  (* Accepted and ignored: there is one kernel. The three historical
+     names still parse so old clients keep working; anything else is
+     still a semantic error. *)
   let* kernel =
     match Json.member "kernel" j with
     | None -> result_ok default_options.kernel

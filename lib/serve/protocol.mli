@@ -16,11 +16,12 @@
     {"op":"shutdown"}
     v}
 
-    [query]/[boolean] accept optional ["kernel"] ("interned" default,
-    or "strings"), ["domains"], ["policy"] ("fail" default, "partial",
-    "approx"), ["timeout_ms"], ["max_structures"],
-    ["max_evaluations"]. Every response carries a ["code"] from the
-    exit-code taxonomy mapped onto the wire.
+    [query]/[boolean] accept optional ["domains"], ["policy"] ("fail"
+    default, "partial", "approx"), ["timeout_ms"], ["max_structures"],
+    ["max_evaluations"], and the deprecated ["kernel"] ("interned",
+    "compiled" or "strings" — accepted and ignored). Every response
+    carries a ["code"] from the exit-code taxonomy mapped onto the
+    wire.
 
     The complete specification — framing, every op's request and
     response fields, the code taxonomy, budget fields, [cache]/[delta]
@@ -50,6 +51,7 @@ val code_of_string : string -> code option
     defaults them. *)
 type eval_options = {
   kernel : Vardi_certain.Engine.kernel;
+      (** deprecated: parsed from ["kernel"] and ignored *)
   domains : int;
   policy : Vardi_resilience.Resilient.policy;
   timeout : float option;  (** seconds, from ["timeout_ms"] *)

@@ -233,14 +233,8 @@ let evaluate state ~want_boolean ~(opts : Protocol.eval_options) entry ~db_name
         let delta = Session.delta_epoch session in
         let prepared, cache_verdict =
           Plan_cache.find_or_prepare state.cache ~db_name
-            ~generation:entry.generation ~delta ~query_text
-            ~kernel:opts.kernel (fun () ->
-              match opts.kernel with
-              | Certain.Interned -> Session.prepare session q
-              | Certain.Compiled ->
-                Session.prepare ~kernel:Certain.Compiled session q
-              | Certain.Strings ->
-                Certain.prepare ~kernel:Certain.Strings (Session.db session) q)
+            ~generation:entry.generation ~delta ~query_text (fun () ->
+              Session.prepare session q)
         in
         let cache_field =
           ( "cache",

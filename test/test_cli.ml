@@ -111,8 +111,9 @@ let test_budget_approx_degrades () =
 
 let test_kernel_flag () =
   with_db (fun db ->
-      (* Every kernel name answers identically; an unknown name is a
-         cmdliner enum error, exit 2. *)
+      (* The flag is a deprecated no-op: every kernel name answers
+         identically; an unknown name is still a cmdliner enum error,
+         exit 2. *)
       let reference = run_ldb [ "query"; db; "(x, y). TEACHES(x, y)" ] in
       List.iter
         (fun kernel ->
@@ -181,7 +182,7 @@ let suite =
       test_exit_budget_exhausted;
     Alcotest.test_case "--on-budget approx prints a qualified answer" `Quick
       test_budget_approx_degrades;
-    Alcotest.test_case "--kernel selects a kernel; unknown names exit 2"
+    Alcotest.test_case "--kernel is a no-op; unknown names exit 2"
       `Quick test_kernel_flag;
     Alcotest.test_case "exit 130: SIGINT" `Quick test_exit_sigint;
   ]

@@ -1,9 +1,11 @@
 (* Tests for the flat-code kernel (Icode): compiled-program indices
    stay in bounds for the symtab they were compiled against,
    compile-then-exec agrees with the interpreters (Iplan.run / Ieval)
-   on generated plans and generated (db, query) instances, the packed
-   membership probe agrees with materialize-then-mem, and the
-   arity-specialized row comparators agree with Irel.compare_rows. *)
+   on generated plans and generated (db, query) instances, the
+   membership probe on both answer forms agrees with
+   materialize-then-mem, the engine agrees with the brute-force
+   reference, and the arity-specialized row comparators agree with
+   Irel.compare_rows. *)
 
 open Logicaldb
 
@@ -178,35 +180,43 @@ let compiled_plan_in_bounds_and_agrees =
           Array.for_all (instr_in_bounds tab (Icode.max_stack prog)) code
           && Icode.max_stack prog >= 1
       in
-      bounds_ok && Irel.equal (Icode.exec idb prog) (Iplan.run idb plan))
+      bounds_ok
+      && Irel.equal
+           (Icode.rows ~radix:(Symtab.size tab) ~arity:(Icode.out_arity prog)
+              (Icode.exec idb prog))
+           (Iplan.run idb plan))
 
 let exec_member_agrees =
-  (* The packed membership probe must agree with materialize-then-mem
-     on every structure of the scan and every candidate row — including
-     rows that rename onto each other. *)
+  (* The membership probe on a per-structure answer must agree with
+     materialize-then-mem on every structure of the scan and every
+     candidate row — including rows that rename onto each other — for
+     both forms of the answer: the packed program's keys and the
+     interpreter's rows. *)
   let tab, _, plan = plan_ctx in
   QCheck2.Test.make ~count:200 ~name:"exec_member = mem after rename"
     ~print:plan_to_string gen_plan
     (fun iplan ->
       let prog = Icode.compile_plan tab iplan in
       let k = Icode.out_arity prog in
+      let radix = Symtab.size tab in
       let candidates =
         Irel.rows (Irel.full ~domain:(Array.init (Symtab.size tab) Fun.id) k)
       in
       Iscan.structure_thunks plan
       |> Seq.for_all (fun thunk ->
              let s = thunk () in
-             let ia = Icode.exec s.Iscan.idb prog in
-             let member =
-               Icode.exec_member s.Iscan.idb prog ~rename:s.Iscan.rename
-             in
-             Array.for_all
-               (fun row ->
-                 member row
-                 = Irel.mem
-                     (Array.map (fun c -> s.Iscan.rename.(c)) row)
-                     ia)
-               candidates))
+             let ia = Iplan.run s.Iscan.idb iplan in
+             List.for_all
+               (fun answer ->
+                 Irel.equal (Icode.rows ~radix ~arity:k answer) ia
+                 && Array.for_all
+                      (fun row ->
+                        Icode.mem ~radix answer ~rename:s.Iscan.rename row
+                        = Irel.mem
+                            (Array.map (fun c -> s.Iscan.rename.(c)) row)
+                            ia)
+                      candidates)
+               [ Icode.exec s.Iscan.idb prog; Icode.Rows ia ]))
 
 (* --- compiled formulas against Ieval on generated instances ---------- *)
 
@@ -329,15 +339,14 @@ let test_compiled_engine_parity () =
   List.iter
     (fun (db, text) ->
       let query = q text in
-      let run kernel =
-        if Query.is_boolean query then
-          `Bool (Certain.certain_boolean ~kernel db query)
-        else `Rel (Certain.answer ~kernel db query)
-      in
-      match (run Certain.Compiled, run Certain.Interned) with
-      | `Bool a, `Bool b -> check_bool text b a
-      | `Rel a, `Rel b -> check Support.relation_testable text b a
-      | _ -> assert false)
+      if Query.is_boolean query then
+        check_bool text
+          (Fuzz_reference.certain_boolean db query)
+          (Certain.certain_boolean db query)
+      else
+        check Support.relation_testable text
+          (Fuzz_reference.answer db query)
+          (Certain.answer db query))
     [
       (socrates, "(x). exists y. TEACHES(x, y)");
       (socrates, "(x). ~(exists y. TEACHES(x, y))");
@@ -351,8 +360,8 @@ let test_compiled_possible_parity () =
     (fun (db, text) ->
       let query = q text in
       check Support.relation_testable text
-        (Certain.possible_answer ~kernel:Certain.Interned db query)
-        (Certain.possible_answer ~kernel:Certain.Compiled db query))
+        (Fuzz_reference.possible_answer db query)
+        (Certain.possible_answer db query))
     [
       (socrates, "(x). exists y. TEACHES(x, y)");
       (ripper, "(x). MURDERER(x) /\\ POLITICIAN(x)");
@@ -398,20 +407,40 @@ let test_compiled_error_parity () =
     (Some "Eval.member: tuple arity differs from the query head")
     (trip (fun () -> Icode.run_member idb member_arity [| 0; 1 |]))
 
+(* The direct scan, a prepared query and a session-prepared query run
+   the same scan: identical stats. *)
 let test_compiled_stats_parity () =
   let query = q "(x). ~(exists y. TEACHES(x, y))" in
   let sig_of (s : Certain.stats) =
-    (s.structures, s.evaluations, s.early_exit, s.pruned_candidates)
+    ((s.structures, s.evaluations), (s.early_exit, s.pruned_candidates))
   in
-  let _, s_c = Certain.answer_stats ~kernel:Certain.Compiled socrates query in
-  let _, s_i = Certain.answer_stats ~kernel:Certain.Interned socrates query in
-  check
-    Alcotest.(pair (pair int int) (pair bool int))
-    "stats agree"
-    (let a, b, c, d = sig_of s_i in
-     ((a, b), (c, d)))
-    (let a, b, c, d = sig_of s_c in
-     ((a, b), (c, d)))
+  let direct = sig_of (snd (Certain.answer_stats socrates query)) in
+  List.iter
+    (fun (what, p) ->
+      check
+        Alcotest.(pair (pair int int) (pair bool int))
+        ("stats agree: " ^ what) direct
+        (sig_of (snd (Certain.prepared_answer_stats p))))
+    [
+      ("prepared", Certain.prepare socrates query);
+      ("session", Incr_session.prepare (Incr_session.create socrates) query);
+    ]
+
+(* Preparing an answer plan that does not compile to packed code — the
+   optimizer fuses a join into it — is counted once; a plan that packs
+   is not. *)
+let test_interp_fallback_counted () =
+  let fallbacks text =
+    let buf = Obs.buffer () in
+    Obs.with_sink (Obs.buffer_sink buf) (fun () ->
+        ignore (Certain.prepare socrates (q text)));
+    Option.value ~default:0
+      (List.assoc_opt "certain.interp_fallback"
+         (Obs.counter_totals (Obs.events buf)))
+  in
+  check_int "packed: (x). ~TEACHES(x, x)" 0 (fallbacks "(x). ~TEACHES(x, x)");
+  check_int "join: (x). exists y, z. TEACHES(x, y) /\\ TEACHES(y, z)" 1
+    (fallbacks "(x). exists y, z. TEACHES(x, y) /\\ TEACHES(y, z)")
 
 let suite =
   [
@@ -428,4 +457,6 @@ let suite =
     Alcotest.test_case "error-message parity" `Quick
       test_compiled_error_parity;
     Alcotest.test_case "stats parity" `Quick test_compiled_stats_parity;
+    Alcotest.test_case "interpreter fallback is counted" `Quick
+      test_interp_fallback_counted;
   ]

@@ -106,7 +106,8 @@ let test_epochs () =
    it wholesale. *)
 let test_memo_hits () =
   let s = Session.create (base_db ()) in
-  let eval q = ignore (Certain.prepared_answer_stats (Session.prepare s q)) in
+  let answer q = fst (Certain.prepared_answer_stats (Session.prepare s q)) in
+  let eval q = ignore (answer q) in
   let counters () =
     let st = Session.stats s in
     (st.s_memo_hits, st.s_memo_misses)
@@ -115,10 +116,14 @@ let test_memo_hits () =
   let h1, m1 = counters () in
   Alcotest.(check int) "no hits on a cold session" 0 h1;
   Alcotest.(check bool) "first run computes every structure" true (m1 > 1);
-  eval q_r;
+  let memoized = answer q_r in
   let h2, m2 = counters () in
   Alcotest.(check int) "re-run answers every structure from the memo" m1 h2;
   Alcotest.(check int) "re-run computes nothing" m1 m2;
+  Alcotest.(check (list (list string)))
+    "the memoized answer is the reference's"
+    (tuples (Fuzz_reference.answer (Session.db s) q_r))
+    (tuples memoized);
   (* a delta on P cannot disturb a query that only reads R *)
   Session.insert s (fact "P" [ "c" ]);
   eval q_r;

@@ -1,8 +1,8 @@
 (* Tests for the interned evaluation kernel: Irel set algebra against a
    list model, enumeration-order parity with Partition.all_valid,
-   Iplan/Ieval against the string evaluators, end-to-end kernel parity
-   (including stats and positional budget caps), and the shared
-   enumeration-cap contracts. *)
+   Iplan/Ieval against the string evaluators, end-to-end parity with
+   the brute-force reference (including stats and positional budget
+   caps), and the shared enumeration-cap contracts. *)
 
 open Logicaldb
 
@@ -233,11 +233,16 @@ let test_ieval_matches_eval () =
     ("(x). exists2 Q/1. Q(x) /\\ exists y. TEACHES(x, y)"
     :: queries_for db)
 
-(* --- end-to-end kernel parity (results and stats) -------------------- *)
+(* --- end-to-end parity with the reference (results and stats) ------- *)
 
-let stats_signature (s : Certain.stats) =
-  (s.structures, s.evaluations, s.early_exit, s.pruned_candidates,
-   s.interrupted = None)
+(* A full scan (no early exit) visits every structure of the stream;
+   the answer scans add the discrete seed, which only the
+   fresh-first partition stream drops from its remainder. *)
+let full_scan_structures ~algorithm ~order ~boolean db =
+  let n = Seq.length (Fuzz_reference.structures ~algorithm ~order db) in
+  match (boolean, algorithm, order) with
+  | true, _, _ | false, Certain.Kernel_partitions, Certain.Fresh_first -> n
+  | false, _, _ -> n + 1
 
 let test_kernel_parity_exhaustive () =
   let cases =
@@ -252,50 +257,49 @@ let test_kernel_parity_exhaustive () =
   List.iter
     (fun (db, text) ->
       let query = q text in
+      let boolean = Query.is_boolean query in
       List.iter
         (fun algorithm ->
+          let reference =
+            if boolean then `Bool (Fuzz_reference.certain_boolean ~algorithm db query)
+            else `Rel (Fuzz_reference.answer ~algorithm db query)
+          in
           List.iter
             (fun order ->
               List.iter
                 (fun domains ->
-                  let run kernel =
-                    if Query.is_boolean query then
-                      let v, s =
-                        Certain.certain_boolean_stats ~kernel ~algorithm ~order
-                          ~domains db query
-                      in
-                      (`Bool v, s)
-                    else
-                      let v, s =
-                        Certain.answer_stats ~kernel ~algorithm ~order ~domains
-                          db query
-                      in
-                      (`Rel v, s)
-                  in
                   let label what =
                     Printf.sprintf "%s on %s (domains=%d)" what text domains
                   in
-                  let v_i, s_i = run Certain.Interned in
-                  let v_s, s_s = run Certain.Strings in
-                  (match (v_i, v_s) with
-                  | `Bool a, `Bool b -> check_bool (label "verdict") b a
-                  | `Rel a, `Rel b ->
-                    check Support.relation_testable (label "answer") b a
-                  | _ -> assert false);
+                  let s =
+                    match reference with
+                    | `Bool r ->
+                      let v, s =
+                        Certain.certain_boolean_stats ~algorithm ~order ~domains
+                          db query
+                      in
+                      check_bool (label "verdict") r v;
+                      s
+                    | `Rel r ->
+                      let v, s =
+                        Certain.answer_stats ~algorithm ~order ~domains db query
+                      in
+                      check Support.relation_testable (label "answer") r v;
+                      s
+                  in
                   (* Parallel schedules may stop different numbers of
                      structures after an early exit; the stats contract
                      is exact only sequentially. *)
-                  if domains = 1 then
-                    check
-                      Alcotest.(
-                        pair
-                          (pair int int)
-                          (pair (pair bool int) bool))
-                      (label "stats")
-                      (let a, b, c, d, e = stats_signature s_s in
-                       ((a, b), ((c, d), e)))
-                      (let a, b, c, d, e = stats_signature s_i in
-                       ((a, b), ((c, d), e))))
+                  if domains = 1 then begin
+                    check_int (label "evaluations = structures")
+                      s.Certain.structures s.Certain.evaluations;
+                    check_bool (label "not interrupted") true
+                      (s.Certain.interrupted = None);
+                    if not s.Certain.early_exit then
+                      check_int (label "a full scan visits every structure")
+                        (full_scan_structures ~algorithm ~order ~boolean db)
+                        s.Certain.structures
+                  end)
                 [ 1; 3 ])
             [ Certain.Fresh_first; Certain.Merge_first ])
         [ Certain.Kernel_partitions; Certain.Naive_mappings ])
@@ -306,48 +310,50 @@ let test_possible_parity () =
     (fun (db, text) ->
       let query = q text in
       check Support.relation_testable text
-        (Certain.possible_answer ~kernel:Certain.Strings db query)
-        (Certain.possible_answer ~kernel:Certain.Interned db query))
+        (Fuzz_reference.possible_answer db query)
+        (Certain.possible_answer db query))
     [
       (socrates, "(x). exists y. TEACHES(x, y)");
       (ripper, "(x). MURDERER(x) /\\ POLITICIAN(x)");
     ]
 
-(* --- positional budget caps are kernel-independent ------------------- *)
+(* --- positional budget caps ------------------------------------------ *)
 
+(* A structure cap admits a prefix of the enumeration, in every
+   schedule: the capped answer is the reference's answer over exactly
+   the structures the scan reports, and the cap trips only when the
+   stream ran past it undecided. *)
 let test_budget_positional_parity () =
   let query = q "(x). ~(exists y. TEACHES(x, y))" in
+  let stream = Fuzz_reference.structures socrates in
+  let total = Seq.length stream in
   List.iter
     (fun cap ->
       List.iter
         (fun domains ->
-          let run kernel =
-            let cancel = Cancel.create ~max_structures:cap () in
-            Certain.answer_stats ~kernel ~domains ~cancel socrates query
+          let cancel = Cancel.create ~max_structures:cap () in
+          let r, s = Certain.answer_stats ~domains ~cancel socrates query in
+          let label what =
+            Printf.sprintf "%s under cap %d, domains %d" what cap domains
           in
-          let r_s, s_s = run Certain.Strings in
-          List.iter
-            (fun (kernel, kname) ->
-              let r_i, s_i = run kernel in
-              let label what =
-                Printf.sprintf "%s (%s) under cap %d, domains %d" what kname
-                  cap domains
-              in
-              check Support.relation_testable (label "capped answer") r_s r_i;
-              check_int (label "structures") s_s.Certain.structures
-                s_i.Certain.structures;
-              check_bool (label "interrupted agrees") true
-                (s_i.Certain.interrupted = s_s.Certain.interrupted))
-            [ (Certain.Interned, "interned"); (Certain.Compiled, "compiled") ])
+          check_bool (label "within the cap") true (s.Certain.structures <= cap);
+          check Support.relation_testable (label "capped answer")
+            (Fuzz_reference.answer_in
+               (Seq.take s.Certain.structures stream)
+               socrates query)
+            r;
+          check_bool (label "trips exactly when the cap binds")
+            (total > cap && not s.Certain.early_exit)
+            (s.Certain.interrupted <> None))
         [ 1; 4 ])
     [ 1; 2; 3; 5; 8 ]
 
-(* --- the naive-mapping cap trips identically across kernels ---------- *)
+(* --- the naive-mapping cap trips as the reference does --------------- *)
 
 let test_mapping_cap_parity () =
   (* 9 constants: 9^9 ≈ 3.9·10^8 exceeds the 2^24 mapping cap, so the
      Naive_mappings algorithm must refuse — with the same exception and
-     message from both kernels. *)
+     message as the reference's Mapping enumeration. *)
   let db =
     database
       ~constants:
@@ -357,16 +363,15 @@ let test_mapping_cap_parity () =
       ()
   in
   let query = q "(). exists x. P(x)" in
-  let trip kernel =
-    match
-      Certain.certain_boolean ~kernel ~algorithm:Certain.Naive_mappings db
-        query
-    with
+  let trip certain_boolean =
+    match certain_boolean () with
     | _ -> Alcotest.fail "9^9 mappings must exceed the enumeration cap"
     | exception Invalid_argument msg -> msg
   in
-  check Alcotest.string "cap messages agree" (trip Certain.Strings)
-    (trip Certain.Interned)
+  let algorithm = Certain.Naive_mappings in
+  check Alcotest.string "cap messages agree"
+    (trip (fun () -> Fuzz_reference.certain_boolean ~algorithm db query))
+    (trip (fun () -> Certain.certain_boolean ~algorithm db query))
 
 let suite =
   [

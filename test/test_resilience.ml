@@ -313,54 +313,58 @@ let test_wall_ns_monotonic () =
       (Int64.compare scan.Certain.wall_ns 0L >= 0)
   | None -> Alcotest.fail "scan stats missing"
 
-(* All three evaluation kernels must degrade identically: same
-   qualified constructor and value, same provenance, same scan counters
-   (wall-clock excluded). The string kernel is the reference; interned
-   and compiled are on trial. The fuzz-side twin is the
-   [resilient-kernel-parity] oracle, which additionally runs under
-   injected faults. *)
-let test_kernel_parity_under_budget () =
+(* The engine must degrade as the reference dictates, directly and
+   through a prepared query alike: an exact result is the reference's
+   answer, a partial scan's upper bound is the reference's answer over
+   exactly the structures the scan reports, and the fallback's lower
+   bound lies within the reference's answer. The direct and prepared
+   paths must agree on the qualified value, the provenance and the scan
+   counters (wall-clock excluded). *)
+let test_degrades_as_reference () =
   let db = big_db () in
+  let stream = Fuzz_reference.structures db in
+  let provenance (s : Resilient.stats) =
+    ( Resilient.source_to_string s.Resilient.source,
+      Option.map Cancel.reason_to_string s.Resilient.tripped,
+      Option.map
+        (fun c -> (c.Certain.structures, c.Certain.evaluations))
+        s.Resilient.scan )
+  in
+  let value = function
+    | Resilient.Exact x | Resilient.Lower_bound x | Resilient.Upper_bound x ->
+      Some x
+    | Resilient.Exhausted -> None
+  in
   List.iter
     (fun q ->
+      let exact = Fuzz_reference.answer db q in
       List.iter
         (fun policy ->
-          let run kernel =
-            Resilient.answer_stats ~policy ~kernel ~budget:tight db q
+          let r, s = Resilient.answer_stats ~policy ~budget:tight db q in
+          let r', s' =
+            Resilient.prepared_answer_stats ~policy ~budget:tight
+              (Certain.prepare db q)
           in
-          let r_s, s_s = run Certain.Strings in
-          List.iter
-            (fun (kernel, kname) ->
-              let r_i, s_i = run kernel in
-              (match (r_s, r_i) with
-              | Resilient.Exact x, Resilient.Exact y
-              | Resilient.Lower_bound x, Resilient.Lower_bound y
-              | Resilient.Upper_bound x, Resilient.Upper_bound y ->
-                Alcotest.check relation
-                  (kname ^ ": same qualified value") x y
-              | Resilient.Exhausted, Resilient.Exhausted -> ()
-              | _ ->
-                Alcotest.failf
-                  "%s disagrees with strings on the qualified constructor"
-                  kname);
-              Alcotest.(check string)
-                (kname ^ ": same source")
-                (Resilient.source_to_string s_s.Resilient.source)
-                (Resilient.source_to_string s_i.Resilient.source);
-              Alcotest.(check (option string))
-                (kname ^ ": same trip provenance")
-                (Option.map Cancel.reason_to_string s_s.Resilient.tripped)
-                (Option.map Cancel.reason_to_string s_i.Resilient.tripped);
-              match (s_s.Resilient.scan, s_i.Resilient.scan) with
-              | Some a, Some b ->
-                Alcotest.(check (pair int int))
-                  (kname ^ ": same scan counters")
-                  (a.Certain.structures, a.Certain.evaluations)
-                  (b.Certain.structures, b.Certain.evaluations)
-              | None, None -> ()
-              | _ ->
-                Alcotest.failf "%s disagrees on scan-stats presence" kname)
-            [ (Certain.Interned, "interned"); (Certain.Compiled, "compiled") ])
+          Alcotest.(check bool)
+            "direct and prepared: same provenance and counters" true
+            (provenance s = provenance s');
+          Alcotest.(check (option relation))
+            "direct and prepared: same value" (value r) (value r');
+          match (r, s.Resilient.scan) with
+          | Resilient.Exact x, _ ->
+            Alcotest.check relation "exact = reference" exact x
+          | Resilient.Upper_bound x, Some scan ->
+            Alcotest.check relation "upper bound = reference over the prefix"
+              (Fuzz_reference.answer_in
+                 (Seq.take scan.Certain.structures stream)
+                 db q)
+              x
+          | Resilient.Lower_bound x, _ ->
+            Alcotest.(check bool)
+              "lower bound within the reference" true (Relation.subset x exact)
+          | Resilient.Exhausted, _ -> ()
+          | Resilient.Upper_bound _, None ->
+            Alcotest.fail "upper bound without scan stats")
         [ Resilient.Fail; Resilient.Partial; Resilient.Approx ])
     [ certain_query (); pruning_query () ]
 
@@ -412,8 +416,8 @@ let suite =
       test_fault_point_corpus_read;
     Alcotest.test_case "scan durations come from the monotonic clock" `Quick
       test_wall_ns_monotonic;
-    Alcotest.test_case "kernels degrade identically under a budget" `Quick
-      test_kernel_parity_under_budget;
+    Alcotest.test_case "degrades as the reference dictates" `Quick
+      test_degrades_as_reference;
     Alcotest.test_case "fuzz oracles hold under fault injection" `Quick
       test_fuzz_oracle_with_faults;
   ]

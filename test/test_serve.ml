@@ -144,6 +144,20 @@ let test_roundtrip () =
               Alcotest.(check (option string))
                 "unbudgeted answer is exact" (Some "exact")
                 (J.str_field "qualified" r);
+              (* "kernel" is accepted and ignored: every historical name
+                 answers the same; any other name is a semantic error *)
+              List.iter
+                (fun k ->
+                  Alcotest.(check (list (list string)))
+                    ("kernel " ^ k)
+                    [ [ "socrates"; "plato" ] ]
+                    (rows
+                       (query ~extra:[ ("kernel", J.Str k) ] c "g"
+                          "(x, y). TEACHES(x, y)")))
+                [ "interned"; "compiled"; "strings" ];
+              check_code "unknown kernel name" "semantic_error"
+                (query ~extra:[ ("kernel", J.Str "jit") ] c "g"
+                   "(x, y). TEACHES(x, y)");
               let r = boolean c "g" "(). TEACHES(socrates, plato)" in
               check_code "boolean ok" "ok" r;
               Alcotest.(check (option bool))
@@ -386,7 +400,7 @@ let test_plan_cache () =
                 "repeat hits" "hit"
                 (cache (query c "g" q));
               Alcotest.(check string)
-                "other kernel is a distinct plan" "miss"
+                "the kernel name is not part of the key" "hit"
                 (cache (query ~extra:[ ("kernel", J.Str "strings") ] c "g" q));
               check_code "reload" "ok" (load c "g" db_path);
               Alcotest.(check string)
@@ -401,9 +415,9 @@ let test_plan_cache () =
                   | None -> Alcotest.failf "plan_cache without %s" k)
                 | None -> Alcotest.fail "stats without plan_cache"
               in
-              Alcotest.(check int) "hits counted" 1 (counter "hits");
-              Alcotest.(check int) "misses counted" 3 (counter "misses");
-              Alcotest.(check int) "three plans resident" 3 (counter "entries"))))
+              Alcotest.(check int) "hits counted" 2 (counter "hits");
+              Alcotest.(check int) "misses counted" 2 (counter "misses");
+              Alcotest.(check int) "two plans resident" 2 (counter "entries"))))
 
 (* --- busy / backpressure ------------------------------------------- *)
 
