@@ -816,10 +816,8 @@ let acq_bench args =
     let adb = Workloads.parametric_db ~constants:16 ~unknowns:2 ~seed:7 in
     let aq = L.Parser.query "(x, z). exists y. R(x, y) /\\ R(y, z)" in
     let hat = L.Translate.query L.Translate.Semantic aq in
-    let ph2 = L.Ph.ph2 adb in
-    (match
-       L.Yannakakis.answer ~virtuals:(L.Disagree.virtuals adb) ph2 hat
-     with
+    let storage, hooks = L.Approx.storage adb in
+    (match L.Yannakakis.answer ~virtuals:hooks storage hat with
     | None -> Acq.fail "approx E2E query not dispatched to the fast path"
     | Some _ -> ());
     let direct = L.Approx.answer ~backend:L.Approx.Direct adb aq in

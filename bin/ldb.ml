@@ -430,20 +430,21 @@ let run_resilient db q ~policy ~algorithm ~domains ~stats ~budget =
   end
 
 (* --explain: show how the query will be evaluated before running it.
-   For the approx engine the plan is over Ph2 of the Semantic-mode hat
-   (the default pipeline); for the exact/possible engines it is the
-   reusable prepared plan, executed against every image structure. *)
+   For the approx engine the plan is over the storage the Semantic-mode
+   hat runs on (Ph1 plus the NE and alpha$P hooks); for the
+   exact/possible engines it is the reusable prepared plan, executed
+   against every image structure. *)
 let print_plan db q engine =
   (match engine with
   | Approximate -> (
     let hat = Translate.query Translate.Semantic q in
-    let ph2 = Ph.ph2 db in
-    match Yannakakis.plan ~virtuals:(Disagree.virtuals db) ph2 hat with
+    let storage, hooks = Approx.storage db in
+    match Yannakakis.plan ~virtuals:hooks storage hat with
     | Some p ->
       Fmt.pr "plan: acyclic-CQ fast path (Yannakakis)@.%a@."
         Yannakakis.pp_plan p
     | None -> (
-      match Compile.prepared ph2 hat with
+      match Compile.prepared storage hat with
       | Some plan ->
         Fmt.pr "plan: not an acyclic CQ — optimized algebra fallback@.  %a@."
           Algebra.pp plan
@@ -572,9 +573,9 @@ let compile_cmd =
         Fmt.pr "Q^ syntactic formula size: %d (semantic: %d)@."
           (Formula.size (Query.body hat_syn))
           (Formula.size (Query.body hat_sem));
-        let ph2 = Ph.ph2 db in
-        let plan = Compile.query ph2 hat_sem in
-        let optimized = Optimizer.optimize ph2 plan in
+        let storage, _ = Approx.storage db in
+        let plan = Compile.query storage hat_sem in
+        let optimized = Optimizer.optimize storage plan in
         Fmt.pr "algebra plan (%d nodes):@.%a@." (Algebra.size plan) Algebra.pp
           plan;
         Fmt.pr "optimized plan (%d nodes):@.%a@." (Algebra.size optimized)

@@ -71,8 +71,8 @@ let () =
   section "Running on the relational back end (Section 5)";
   let negative = query "(x). ~EMP_DEPT(x, books)" in
   let hat = Translate.query Translate.Semantic negative in
-  let ph2 = Ph.ph2 db in
-  let plan = Compile.query ph2 hat in
+  let storage, _ = Approx.storage db in
+  let plan = Compile.query storage hat in
   Fmt.pr "translated query: %a@." Pretty.pp_query hat;
   Fmt.pr "algebra plan (%d nodes):@.  %a@." (Algebra.size plan) Algebra.pp plan;
   let via_algebra =

@@ -5,9 +5,7 @@ module Cw_database = Vardi_cwdb.Cw_database
    has an edge (ci, di) per position, so components are computed by
    unioning positionwise; two occurrences of the same constant are the
    same node. *)
-let tuples lb c d =
-  if List.length c <> List.length d then
-    invalid_arg "Disagree.tuples: tuples of different lengths";
+let connected_distinct lb c d =
   let parent = Hashtbl.create 16 in
   let rec find x =
     match Hashtbl.find_opt parent x with
@@ -37,27 +35,42 @@ let tuples lb c d =
   in
   any_distinct_pair nodes
 
-let alpha_holds lb p c =
-  (match Vocabulary.arity_opt (Cw_database.vocabulary lb) p with
+(* A position pair that is itself a uniqueness axiom is an edge of
+   G_{c,d}, so it decides the question before any union-find is
+   built. *)
+let tuples lb c d =
+  if List.length c <> List.length d then
+    invalid_arg "Disagree.tuples: tuples of different lengths";
+  List.exists2 (Cw_database.are_distinct lb) c d || connected_distinct lb c d
+
+(* α_P with P's facts fetched once, for a hook that tests many tuples. *)
+let alpha_of lb p =
+  match Vocabulary.arity_opt (Cw_database.vocabulary lb) p with
   | None -> invalid_arg (Printf.sprintf "Disagree.alpha_holds: undeclared %s" p)
   | Some k ->
-    if k <> List.length c then
-      invalid_arg
-        (Printf.sprintf "Disagree.alpha_holds: %s applied to %d arguments" p
-           (List.length c)));
-  List.for_all (fun d -> tuples lb c d) (Cw_database.facts_of lb p)
+    let facts = Cw_database.facts_of lb p in
+    fun c ->
+      if k <> List.length c then
+        invalid_arg
+          (Printf.sprintf "Disagree.alpha_holds: %s applied to %d arguments" p
+             (List.length c));
+      List.for_all (fun d -> tuples lb c d) facts
+
+let alpha_holds lb p c = alpha_of lb p c
 
 let alpha_prefix = "alpha$"
 let alpha_predicate p = alpha_prefix ^ p
 
-let virtuals lb name =
-  let n = String.length alpha_prefix in
-  if
-    String.length name > n
-    && String.equal (String.sub name 0 n) alpha_prefix
-  then
-    let p = String.sub name n (String.length name - n) in
-    if Vocabulary.mem_predicate (Cw_database.vocabulary lb) p then
-      Some (fun args -> alpha_holds lb p args)
-    else None
-  else None
+(* The Tarskian evaluator asks the hook about every atom it meets, so
+   a lookup allocates nothing and compares with String.equal. *)
+let virtuals lb =
+  let hooks =
+    List.map
+      (fun (p, _) -> (alpha_predicate p, Some (alpha_of lb p)))
+      (Vocabulary.predicates (Cw_database.vocabulary lb))
+  in
+  let rec find name = function
+    | [] -> None
+    | (n, hook) :: rest -> if String.equal n name then hook else find name rest
+  in
+  fun name -> find name hooks

@@ -28,6 +28,8 @@ val alpha_holds : Vardi_cwdb.Cw_database.t -> string -> string list -> bool
 val alpha_predicate : string -> string
 
 (** [virtuals lb] resolves every ["alpha$P"] name for a predicate [P]
-    declared in [lb]; all other names (including [NE], which [Ph₂]
-    stores as a real relation) are left to the database. *)
+    declared in [lb]; all other names (including [NE], which
+    {!Vardi_cwdb.Ph.ne_virtuals} answers) are left to the database.
+    [virtuals lb] fetches each predicate's facts once, so apply it once
+    and test many tuples through the result. *)
 val virtuals : Vardi_cwdb.Cw_database.t -> Vardi_relational.Eval.virtuals

@@ -23,8 +23,6 @@ let completeness lb q =
   else if Query.is_positive q then Complete_positive
   else Sound_only
 
-let virtuals = Disagree.virtuals
-
 (* The three pipeline stages of A(Q, LB) = Q-hat(Ph2(LB)), each under
    its own span so the CLI/bench breakdown attributes cost to
    translation vs storage vs evaluation. The hat-size counter records
@@ -37,42 +35,51 @@ let translate mode q =
       Obs.count "approx.hat_size" (Formula.size (Query.body hat));
       hat)
 
-let storage lb = Obs.span "approx.ph2" (fun () -> Ph.ph2 lb)
+let storage ?(mode = Translate.Semantic) lb =
+  Obs.span "approx.ph2" (fun () ->
+      let ph1, ne = Ph.ph2_in_place lb in
+      let hooks =
+        match mode with
+        | Translate.Semantic ->
+          let alpha = Disagree.virtuals lb in
+          fun name ->
+            (match ne name with Some _ as hook -> hook | None -> alpha name)
+        | Translate.Syntactic -> ne
+      in
+      (ph1, hooks))
 
 let answer ?(mode = Translate.Semantic) ?(backend = Direct) lb q =
   Query_check.validate lb q;
   Obs.span "approx.answer" (fun () ->
       let hat = translate mode q in
-      let ph2 = storage lb in
-      let hooks = match mode with Semantic -> virtuals lb | Syntactic -> Eval.no_virtuals in
+      let db, hooks = storage ~mode lb in
       Obs.span "approx.evaluate" (fun () ->
           match backend with
-          | Direct -> Eval.answer ~virtuals:hooks ph2 hat
-          | Algebra -> Compile.answer ~virtuals:hooks ph2 hat
+          | Direct -> Eval.answer ~virtuals:hooks db hat
+          | Algebra -> Compile.answer ~virtuals:hooks db hat
           | Algebra_optimized -> (
             (* Acyclic-CQ fast path: Semantic-mode hats preserve the
                exists/and structure of CQ inputs (negations become
-               alpha$P virtual atoms), so they stay eligible. *)
-            match Vardi_relational.Yannakakis.answer ~virtuals:hooks ph2 hat with
+               alpha$P and NE virtual atoms), so they stay eligible. *)
+            match Vardi_relational.Yannakakis.answer ~virtuals:hooks db hat with
             | Some r ->
               Obs.count "approx.acq_fastpath" 1;
               r
             | None ->
               Obs.count "approx.acq_fallback" 1;
               let plan =
-                Vardi_relational.Optimizer.optimize ph2 (Compile.query ph2 hat)
+                Vardi_relational.Optimizer.optimize db (Compile.query db hat)
               in
-              Vardi_relational.Algebra.run ~virtuals:hooks ph2 plan)))
+              Vardi_relational.Algebra.run ~virtuals:hooks db plan)))
 
 let member ?(mode = Translate.Semantic) lb q tuple =
   Query_check.validate lb q;
   Query_check.validate_tuple lb q tuple;
   Obs.span "approx.member" (fun () ->
       let hat = translate mode q in
-      let ph2 = storage lb in
-      let hooks = match mode with Semantic -> virtuals lb | Syntactic -> Eval.no_virtuals in
+      let db, hooks = storage ~mode lb in
       Obs.span "approx.evaluate" (fun () ->
-          Eval.member ~virtuals:hooks ph2 hat tuple))
+          Eval.member ~virtuals:hooks db hat tuple))
 
 let boolean ?(mode = Translate.Semantic) lb q =
   Query_check.validate lb q;
@@ -80,7 +87,6 @@ let boolean ?(mode = Translate.Semantic) lb q =
     invalid_arg "Approx.boolean: the query has answer variables";
   Obs.span "approx.boolean" (fun () ->
       let hat = translate mode q in
-      let ph2 = storage lb in
-      let hooks = match mode with Semantic -> virtuals lb | Syntactic -> Eval.no_virtuals in
+      let db, hooks = storage ~mode lb in
       Obs.span "approx.evaluate" (fun () ->
-          Eval.satisfies ~virtuals:hooks ph2 (Query.body hat)))
+          Eval.satisfies ~virtuals:hooks db (Query.body hat)))

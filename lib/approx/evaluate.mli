@@ -9,9 +9,19 @@
       polynomial-time [α_P] oracle, evaluating [A(Q, LB)] costs the
       same as evaluating a first-order query over a physical database.
 
-    Two backends execute [Q̂] on [Ph₂(LB)]: direct Tarskian evaluation,
-    or compilation to relational algebra — the paper's "implementation
-    on the top of a standard database management system".
+    [Ph₂(LB)] is never copied: {!storage} is [Ph₁(LB)] plus virtual
+    predicates, where [NE(x, y)] reads the uniqueness axioms in place
+    ({!Vardi_cwdb.Ph.ph2_in_place}) and, in [Semantic] mode,
+    [alpha$P] runs the Lemma-10 test ({!Disagree.virtuals}). On the
+    acyclic fast path a virtual atom is evaluated only over the tuples
+    a stored atom binds ({!Vardi_relational.Yannakakis.run}), so such
+    a query reading [NE] or a k-ary [α_P] does not enumerate [D^k]
+    unless no stored atom covers the atom.
+
+    Three backends execute [Q̂]: direct Tarskian evaluation, or
+    compilation to relational algebra — the paper's "implementation on
+    the top of a standard database management system" — plain or
+    optimized.
 
     Pick [Semantic] mode for the algebra backends. [Syntactic] mode is
     compatible with them but impractical beyond toy databases: each
@@ -66,6 +76,15 @@ val member :
 val boolean :
   ?mode:Translate.mode -> Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> bool
 
-(** The virtual-predicate hook needed to run a [Semantic]-mode [Q̂]
-    against [Ph₂(lb)] with {!Vardi_relational.Eval} directly. *)
-val virtuals : Vardi_cwdb.Cw_database.t -> Vardi_relational.Eval.virtuals
+(** [storage ?mode lb] is the database and hooks [Q̂] runs on: [Ph₁(lb)]
+    with [NE] read from the uniqueness axioms in place, plus the
+    [alpha$P] hooks when [mode = Semantic] (the default). The build
+    runs in the [approx.ph2] span. {!answer}, {!member}, {!boolean} and
+    the CLI's plan printers all use it.
+
+    @raise Invalid_argument when [lb]'s vocabulary declares [NE], as
+    {!Vardi_cwdb.Ph.ph2} does. *)
+val storage :
+  ?mode:Translate.mode ->
+  Vardi_cwdb.Cw_database.t ->
+  Vardi_relational.Database.t * Vardi_relational.Eval.virtuals

@@ -154,4 +154,5 @@ let query' vocabulary q =
 
 let answer lb q =
   let q' = query' (Vardi_cwdb.Cw_database.vocabulary lb) q in
-  Eval.answer (Vardi_cwdb.Ph.ph2 lb) q'
+  let ph1, ne = Vardi_cwdb.Ph.ph2_in_place lb in
+  Eval.answer ~virtuals:ne ph1 q'

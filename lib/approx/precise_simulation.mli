@@ -33,7 +33,9 @@ val prefix : string
 val query' : Vardi_logic.Vocabulary.t -> Vardi_logic.Query.t -> Vardi_logic.Query.t
 
 (** [answer lb q] evaluates [Q′(Ph₂(LB))] with the bounded second-order
-    evaluator. Exponential in [|C|²]; use only on tiny databases.
+    evaluator, reading ρ's [NE] from the uniqueness axioms in place
+    ({!Vardi_cwdb.Ph.ph2_in_place}). Exponential in [|C|²]; use only on
+    tiny databases.
     @raise Invalid_argument when the needed relation enumeration
     exceeds {!Vardi_relational.Relation.max_enumeration}. *)
 val answer :

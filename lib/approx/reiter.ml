@@ -70,16 +70,19 @@ let rec provable lb vars f =
   | Formula.Exists2 _ | Formula.Forall2 _ ->
     raise (Unsupported "Reiter's algorithm covers first-order queries only")
 
+(* Rename a binder that shadows a column. The new name must avoid
+   [vars] as well as the body's variables, or a third nested binder of
+   one name would alias two quantifiers; so retry until it does. *)
 and unshadow vars x body =
   if List.mem x vars then begin
-    let x' = Formula.fresh_var ~base:x [ body ] in
-    let x'' =
-      if List.mem x' vars then Formula.fresh_var ~base:(x' ^ "_r") [ body ]
-      else x'
+    let rec pick base =
+      let candidate = Formula.fresh_var ~base [ body ] in
+      if List.mem candidate vars then pick (candidate ^ "_r") else candidate
     in
-    ( x'',
+    let x' = pick x in
+    ( x',
       Formula.substitute
-        (fun y -> if String.equal y x then Some (Term.Var x'') else None)
+        (fun y -> if String.equal y x then Some (Term.Var x') else None)
         body )
   end
   else (x, body)

@@ -86,9 +86,9 @@ let a2 () =
               Approx.answer ~backend:Approx.Algebra_optimized db q)
         in
         let hat = Vardi_approx.Translate.query Vardi_approx.Translate.Semantic q in
-        let ph2 = Vardi_cwdb.Ph.ph2 db in
-        let plan = Vardi_relational.Compile.query ph2 hat in
-        let plan' = Vardi_relational.Optimizer.optimize ph2 plan in
+        let storage, _ = Approx.storage db in
+        let plan = Vardi_relational.Compile.query storage hat in
+        let plan' = Vardi_relational.Optimizer.optimize storage plan in
         [
           string_of_int constants;
           Table.ms direct_ms;

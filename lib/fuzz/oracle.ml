@@ -15,6 +15,8 @@ module Certain = Vardi_certain.Engine
 module Session = Vardi_incr.Session
 module Cancel = Vardi_certain.Cancel
 module Approx = Vardi_approx.Evaluate
+module Translate = Vardi_approx.Translate
+module Disagree = Vardi_approx.Disagree
 module Naive_tables = Vardi_approx.Naive_tables
 module Ty_database = Vardi_typed.Ty_database
 module Ty_query = Vardi_typed.Ty_query
@@ -45,6 +47,7 @@ let oracle_ids =
     "kernel-parity";
     "approx-backend-algebra";
     "approx-backend-optimized";
+    "approx-explicit-ph2";
     "acq-parity";
     "approx-sound";
     "approx-complete";
@@ -144,6 +147,23 @@ let check_ldb_roundtrip ctx db =
 
 (* --- the differential engine oracles --- *)
 
+(* The approximation's reference: Q-hat evaluated by [Eval] over the
+   paper-literal Ph2(LB), whose NE relation is materialized, with only
+   the alpha$P hooks. Every backend runs on the in-place NE, so the
+   backend oracles alone cannot catch a wrong NE. *)
+let explicit_ph2 db q =
+  (Ph.ph2 db, Disagree.virtuals db, Translate.query Translate.Semantic q)
+
+let check_explicit_ph2 ctx ~equal ~show ~approx f =
+  match guard ctx "approx-explicit-ph2" f with
+  | None -> ()
+  | Some reference ->
+    if not (equal reference approx) then
+      add ctx "approx-explicit-ph2"
+        (Printf.sprintf
+           "Q-hat over the explicit Ph2 gives %s, the approximation %s"
+           (show reference) (show approx))
+
 let check_boolean ctx ~domains db q =
   match
     guard ctx "exact-reference" (fun () ->
@@ -178,7 +198,11 @@ let check_boolean ctx ~domains db q =
           add ctx "approx-complete"
             (Printf.sprintf
                "completeness theorem applies but approx %b <> exact %b" approx
-               exact)));
+               exact));
+      check_explicit_ph2 ctx ~equal:Bool.equal ~show:string_of_bool ~approx
+        (fun () ->
+          let ph2, alpha, hat = explicit_ph2 db q in
+          Eval.satisfies ~virtuals:alpha ph2 (Query.body hat)));
     if Query.is_positive q then
       expect_equal_bool ctx "naive-tables-positive" ~reference:exact
         ~label:"naive tables on a positive query" (fun () ->
@@ -238,7 +262,11 @@ let check_relational ctx ~domains db q =
           Approx.answer ~backend:Approx.Algebra db q);
       expect_equal_rel ctx "approx-backend-optimized" ~reference:approx
         ~label:"optimized Algebra backend" (fun () ->
-          Approx.answer ~backend:Approx.Algebra_optimized db q));
+          Approx.answer ~backend:Approx.Algebra_optimized db q);
+      check_explicit_ph2 ctx ~equal:Relation.equal ~show:rel ~approx
+        (fun () ->
+          let ph2, alpha, hat = explicit_ph2 db q in
+          Eval.answer ~virtuals:alpha ph2 hat));
     if Query.is_positive q then
       expect_equal_rel ctx "naive-tables-positive" ~reference:exact
         ~label:"naive tables on a positive query" (fun () ->

@@ -18,6 +18,11 @@
       theorem applies;
     - [approx-backend-algebra], [approx-backend-optimized]: the
       Tarskian, algebra and optimized-algebra backends agree;
+    - [approx-explicit-ph2]: the approximation equals [Q̂] evaluated by
+      {!Vardi_relational.Eval} over the paper-literal
+      {!Vardi_cwdb.Ph.ph2}, whose [NE] relation is materialized, with
+      only the [alpha$P] hooks. The backends all read [NE] in place, so
+      this is the oracle that catches a wrong [NE];
     - [acq-parity]: the acyclic-query fast path
       ({!Vardi_relational.Yannakakis}) is answer-identical to the
       Tarskian evaluator on [Ph₁(LB)] whenever it detects an acyclic

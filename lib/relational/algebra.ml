@@ -1,3 +1,5 @@
+module Obs = Vardi_obs.Obs
+
 type selection =
   | Cols_eq of int * int
   | Cols_neq of int * int
@@ -93,6 +95,7 @@ let run ?(virtuals = Eval.no_virtuals) db expr =
       match virtuals name with
       | None -> error "Algebra: no implementation for virtual relation %s" name
       | Some check ->
+        Obs.count "relational.virtual_full" 1;
         Relation.filter check (Relation.full ~domain:(Database.domain db) k))
     | Domain ->
       Relation.of_tuples 1 (List.map (fun e -> [ e ]) (Database.domain db))

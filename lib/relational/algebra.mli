@@ -49,7 +49,9 @@ type t =
     out of range, or arity mismatches between set-operation operands. *)
 val arity : Database.t -> t -> int
 
-(** [run ?virtuals db e] evaluates [e] bottom-up.
+(** [run ?virtuals db e] evaluates [e] bottom-up. Each [Virtual] node
+    is materialized over [D^arity]; each such build adds one to the Obs
+    counter [relational.virtual_full].
     @raise Eval.Eval_error as {!arity} does, and when a [Virtual] node
     has no entry in [virtuals]. *)
 val run : ?virtuals:Eval.virtuals -> Database.t -> t -> Relation.t

@@ -212,9 +212,17 @@ let step db expr =
     Some (Empty (arity a + arity b))
   | Semijoin (_, (Empty _ as e), _) -> Some e
   | Semijoin (_, a, Empty _) -> Some (Empty (arity a))
-  | Semijoin (_, a, u) when is_universal u && Database.domain db <> [] ->
-    (* a universal right side is nonempty and contains every key *)
-    Some a
+  | Semijoin (pairs, a, u) when is_universal u && Database.domain db <> [] ->
+    (* A universal right side is nonempty and contains every key whose
+       right columns are distinct. Left columns paired with one right
+       column must still be equal, so each keeps a selection against
+       the first left column of its group. *)
+    Some
+      (List.fold_left
+         (fun e (i, j) ->
+           let first, _ = List.find (fun (_, j') -> j' = j) pairs in
+           if first = i then e else Select (Cols_eq (first, i), e))
+         a pairs)
   (* --- constant folding on set operations --- *)
   | Union (Empty _, e) | Union (e, Empty _) -> Some e
   | Inter ((Empty _ as e), _) | Inter (_, (Empty _ as e)) -> Some e

@@ -1,6 +1,7 @@
 module F = Vardi_logic.Formula
 module T = Vardi_logic.Term
 module Q = Vardi_logic.Query
+module Obs = Vardi_obs.Obs
 
 type atom = { pred : string; args : T.t list }
 
@@ -223,6 +224,7 @@ let atom_nrel ~virtuals db a =
     | None -> (
       match virtuals a.pred with
       | Some check ->
+        Obs.count "relational.virtual_full" 1;
         Relation.filter check
           (Relation.full ~domain:(Database.domain db)
              (List.length a.args))
@@ -267,6 +269,69 @@ let atom_nrel ~virtuals db a =
   in
   { vars; rel }
 
+(* A virtual atom whose variables all occur in a stored atom is
+   evaluated over that atom's tuples: its relation is the hook-filtered
+   projection of the stored atom's relation. This is exact, because the
+   stored atom is joined in too and already restricts those variables.
+   [cover] is the stored atom's named relation. *)
+let bounded_nrel ~virtuals db a cover =
+  let check =
+    match virtuals a.pred with
+    | Some check -> check
+    | None ->
+      raise
+        (Eval.Eval_error
+           (Printf.sprintf "Yannakakis: no implementation for %s" a.pred))
+  in
+  let vars = atom_vars a in
+  let args row =
+    let env = List.combine vars row in
+    List.map
+      (function
+        | T.Const c -> Database.constant db c | T.Var v -> List.assoc v env)
+      a.args
+  in
+  let projected = project vars cover in
+  {
+    projected with
+    rel = Relation.filter (fun row -> check (args row)) projected.rel;
+  }
+
+(* Every atom's named relation. Stored atoms come first; each virtual
+   atom then takes the smallest stored relation covering its variables,
+   and is built over D^k only when none does. *)
+let atom_nrels ~virtuals db atoms =
+  let stored =
+    Array.map
+      (fun a ->
+        match Database.relation_opt db a.pred with
+        | Some _ -> Some (atom_nrel ~virtuals db a)
+        | None -> None)
+      atoms
+  in
+  let cover a =
+    let vars = atom_vars a in
+    Array.fold_left
+      (fun best n ->
+        match n with
+        | Some n when List.for_all (fun v -> List.mem v n.vars) vars -> (
+          match best with
+          | Some b when Relation.cardinal b.rel <= Relation.cardinal n.rel ->
+            best
+          | _ -> Some n)
+        | _ -> best)
+      None stored
+  in
+  Array.mapi
+    (fun i a ->
+      match stored.(i) with
+      | Some n -> n
+      | None -> (
+        match cover a with
+        | Some c -> bounded_nrel ~virtuals db a c
+        | None -> atom_nrel ~virtuals db a))
+    atoms
+
 let guard_holds ~virtuals db a =
   let vals = List.map (element_of db) a.args in
   match Database.relation_opt db a.pred with
@@ -288,7 +353,7 @@ let run ?(virtuals = Eval.no_virtuals) db p =
       (* no variable atoms: the (boolean) query reduced to its guards *)
       Relation.of_tuples p.answer_arity [ [] ]
     | Some tree ->
-      let rels = Array.map (atom_nrel ~virtuals db) p.atoms in
+      let rels = atom_nrels ~virtuals db p.atoms in
       reducer_passes rels tree;
       let result = assemble rels p.head ~keep:p.head tree in
       (* [assemble] keeps head variables in [keep] order, so the

@@ -38,7 +38,14 @@ val plan :
   ?virtuals:Eval.virtuals -> Database.t -> Vardi_logic.Query.t -> plan option
 
 (** [run ?virtuals db p] evaluates a plan produced against the same
-    database schema. *)
+    database schema.
+
+    A virtual atom whose variables all occur in a stored atom is
+    evaluated over that atom's tuples: its relation is the
+    hook-filtered projection of the smallest such stored relation.
+    Only a virtual atom that no stored atom covers is built over
+    [D^k]; each such build adds one to the Obs counter
+    [relational.virtual_full]. *)
 val run : ?virtuals:Eval.virtuals -> Database.t -> plan -> Relation.t
 
 (** [answer ?virtuals db q] is [run] of [plan] when the query is

@@ -37,6 +37,19 @@ let test_disagree_transitive_chain () =
   check_bool "no axiom, no disagreement" false
     (Disagree.tuples db0 [ "a"; "b" ] [ "b"; "c" ])
 
+let test_disagree_positionwise_axiom () =
+  (* A position pair that is itself an axiom decides at once. *)
+  let db = database ~constants:[ "a"; "b"; "e" ] ~distinct:[ ("a", "b") ] () in
+  check_bool "position pair (a, b) is an axiom" true
+    (Disagree.tuples db [ "a"; "b" ] [ "b"; "e" ]);
+  (* Neither position pair (a, b) nor (b, e) is an axiom here; only the
+     union-find joins a and e through b. *)
+  let db = database ~constants:[ "a"; "b"; "e" ] ~distinct:[ ("a", "e") ] () in
+  check_bool "no position pair is an axiom" false
+    (Cw_database.are_distinct db "a" "b" || Cw_database.are_distinct db "b" "e");
+  check_bool "the union-find finds ~(a = e)" true
+    (Disagree.tuples db [ "a"; "b" ] [ "b"; "e" ])
+
 let test_alpha_holds () =
   (* α_TEACHES(plato, plato): the only fact is (socrates, plato);
      tuples (plato,plato) vs (socrates,plato) — components {plato,
@@ -47,7 +60,15 @@ let test_alpha_holds () =
   check_bool "not provably absent (unknown)" false
     (Disagree.alpha_holds socrates "TEACHES" [ "mystery"; "plato" ]);
   check_bool "present fact not alpha" false
-    (Disagree.alpha_holds socrates "TEACHES" [ "socrates"; "plato" ])
+    (Disagree.alpha_holds socrates "TEACHES" [ "socrates"; "plato" ]);
+  (* The hook fetches the facts once and keeps the arity check. *)
+  let hook = Option.get (Disagree.virtuals socrates "alpha$TEACHES") in
+  check_bool "hook = alpha_holds" true (hook [ "plato"; "plato" ]);
+  check_bool "NE is not an alpha hook" true
+    (Option.is_none (Disagree.virtuals socrates Ph.ne_predicate));
+  match hook [ "plato" ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument on an arity mismatch"
 
 (* Semantic disagreement really is unsatisfiability of
    Unique(T) ∧ c = d: cross-check against the partition engine —
@@ -308,6 +329,75 @@ let naive_tables_contains_certain =
     (fun (db, query) ->
       Relation.subset (Certain.answer db query) (Naive_tables.answer db query))
 
+(* The storage reads NE from the uniqueness axioms in place: every
+   backend agrees with Q-hat over the explicit Ph2, and a vocabulary
+   that declares NE is refused as Ph2 refuses it. *)
+let test_in_place_ne () =
+  let text = "(x, y). ~(x = y) /\\ ~TEACHES(x, y)" in
+  let hat = Translate.query Translate.Semantic (q text) in
+  let reference =
+    Eval.answer ~virtuals:(Disagree.virtuals socrates) (Ph.ph2 socrates) hat
+  in
+  List.iter
+    (fun backend ->
+      check Support.relation_testable text reference
+        (Approx.answer ~backend socrates (q text)))
+    [ Approx.Direct; Approx.Algebra; Approx.Algebra_optimized ];
+  let storage, _ = Approx.storage socrates in
+  check_bool "storage is Ph1" true (Database.equal storage (Ph.ph1 socrates));
+  let declares_ne =
+    database ~predicates:[ ("NE", 2) ] ~constants:[ "a"; "b" ] ()
+  in
+  match Approx.answer declares_ne (q "(x). exists y. NE(x, y)") with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for a declared NE"
+
+let virtual_full_count f =
+  let buf = Obs.buffer () in
+  ignore (Obs.with_sink (Obs.buffer_sink buf) f);
+  Option.value ~default:0
+    (List.assoc_opt "relational.virtual_full"
+       (Obs.counter_totals (Obs.events buf)))
+
+(* A virtual atom a stored atom binds is filtered, not built over
+   D^k; one that nothing binds is built and counted, on the Yannakakis
+   path and on the algebra fallback alike. Over a fully specified
+   128-constant database. *)
+let test_virtual_full_counter () =
+  let n = 128 in
+  let names = Array.init n (Printf.sprintf "c%03d") in
+  let chain p shift =
+    List.init n (fun i -> (p, [ names.(i); names.((i + shift) mod n) ]))
+  in
+  let db =
+    Cw_database.fully_specify
+      (database ~predicates:[ ("R", 2); ("S", 2) ]
+         ~facts:(chain "R" 1 @ chain "S" 2) ())
+  in
+  let builds text expected_rows =
+    let answer = ref (Relation.empty 0) in
+    let count =
+      virtual_full_count (fun () ->
+          answer := Approx.answer ~backend:Approx.Algebra_optimized db (q text))
+    in
+    Alcotest.(check int)
+      (text ^ ": rows") expected_rows (Relation.cardinal !answer);
+    count
+  in
+  let check_int = Alcotest.(check int) in
+  check_int "alpha bound by R" 0
+    (builds "(x). exists y. R(x, y) /\\ ~S(x, y)" n);
+  check_int "NE bound by R" 0 (builds "(x, y). R(x, y) /\\ ~(x = y)" n);
+  check_int "NE bound by nothing" 1 (builds "(x, y). ~(x = y)" (n * (n - 1)));
+  let storage, hooks = Approx.storage db in
+  let plan =
+    Optimizer.optimize storage
+      (Compile.query storage
+         (Translate.query Translate.Semantic (q "(x, y). ~(x = y)")))
+  in
+  check_int "algebra fallback" 1
+    (virtual_full_count (fun () -> Algebra.run ~virtuals:hooks storage plan))
+
 let test_completeness_certificates () =
   check_bool "personnel fully specified" true
     (Approx.completeness personnel (q "(x). ~(exists y. EMP_DEPT(x, y))")
@@ -350,4 +440,8 @@ let suite =
     Support.qcheck_case naive_tables_contains_certain;
     Alcotest.test_case "completeness certificates" `Quick
       test_completeness_certificates;
+    Alcotest.test_case "disagree positionwise axiom" `Quick
+      test_disagree_positionwise_axiom;
+    Alcotest.test_case "NE read in place" `Quick test_in_place_ne;
+    Alcotest.test_case "D^k fallback counted" `Quick test_virtual_full_counter;
   ]

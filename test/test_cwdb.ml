@@ -125,7 +125,16 @@ let test_ph2 () =
   check_bool "NE mirror" true (Relation.mem [ "socrates"; "plato" ] ne);
   (* NE must not leak into Ph1. *)
   check_bool "ph1 has no NE" true
-    (Option.is_none (Database.relation_opt (Ph.ph1 socrates) Ph.ne_predicate))
+    (Option.is_none (Database.relation_opt (Ph.ph1 socrates) Ph.ne_predicate));
+  (* In place: Ph1 plus a hook reading the uniqueness axioms. *)
+  let ph1, hook = Ph.ph2_in_place socrates in
+  check_bool "in-place database is Ph1" true
+    (Database.equal ph1 (Ph.ph1 socrates));
+  let ne_holds = Option.get (hook Ph.ne_predicate) in
+  check_bool "in-place NE pair" true (ne_holds [ "plato"; "socrates" ]);
+  check_bool "in-place NE mirror" true (ne_holds [ "socrates"; "plato" ]);
+  check_bool "in-place NE open pair" false (ne_holds [ "mystery"; "plato" ]);
+  check_bool "hook leaves other names" true (Option.is_none (hook "TEACHES"))
 
 (* --- mappings --- *)
 
@@ -334,18 +343,23 @@ let test_ne_virtual_fully_specified () =
   check_bool "reduces to inequality" true (Ne_virtual.holds nev "plato" "socrates");
   check_bool "never reflexive" false (Ne_virtual.holds nev "plato" "plato")
 
-(* Virtual NE agrees with the explicit NE of Ph₂ on every pair. *)
+(* Both virtual NEs — the U/NE′ form and the in-place hook the
+   engines run — agree with the explicit NE of Ph₂ on every pair. *)
 let ne_virtual_agrees =
   QCheck2.Test.make ~count:150 ~name:"virtual NE = explicit NE"
     ~print:Support.print_db Support.gen_cw_database
     (fun db ->
       let nev = Ne_virtual.make db in
       let ne = Database.relation (Ph.ph2 db) Ph.ne_predicate in
+      let in_place = Option.get (Ph.ne_virtuals db Ph.ne_predicate) in
       let constants = Cw_database.constants db in
       List.for_all
         (fun c ->
           List.for_all
-            (fun d -> Ne_virtual.holds nev c d = Relation.mem [ c; d ] ne)
+            (fun d ->
+              let explicit = Relation.mem [ c; d ] ne in
+              Ne_virtual.holds nev c d = explicit
+              && in_place [ c; d ] = explicit)
             constants)
         constants)
 

@@ -67,6 +67,28 @@ let test_universal_absorption () =
   check algebra_testable "diff against full" (Algebra.Empty 2)
     (opt (Algebra.Diff (r, full2)))
 
+let test_universal_semijoin () =
+  (* Two left columns paired with one right column must be equal: on
+     R = {(a, b), (b, c)} the semijoin is empty, so the universal right
+     side may only drop with a selection left behind. *)
+  let e =
+    Algebra.Semijoin ([ (0, 0); (1, 0) ], Algebra.Base "R", Algebra.Domain)
+  in
+  check Support.relation_testable "runs to {}" (Relation.empty 2)
+    (Algebra.run db e);
+  check algebra_testable "keeps $0 = $1"
+    (Algebra.Select (Algebra.Cols_eq (0, 1), Algebra.Base "R"))
+    (opt e);
+  check Support.relation_testable "optimized runs to {}" (Relation.empty 2)
+    (Algebra.run db (opt e));
+  (* Distinct right columns: every key is in D^2, the semijoin drops. *)
+  check algebra_testable "distinct right columns" (Algebra.Base "R")
+    (opt
+       (Algebra.Semijoin
+          ( [ (0, 0); (1, 1) ],
+            Algebra.Base "R",
+            Algebra.Product (Algebra.Domain, Algebra.Domain) )))
+
 let test_pushdown_product () =
   let e =
     Algebra.Select
@@ -256,4 +278,5 @@ let suite =
     Support.qcheck_case optimizer_on_raw_trees;
     Support.qcheck_case optimizer_never_grows;
     Support.qcheck_case optimized_backend_agrees;
+    Alcotest.test_case "universal semijoin" `Quick test_universal_semijoin;
   ]

@@ -55,6 +55,20 @@ let test_second_order_rejected () =
   | exception Reiter.Unsupported _ -> ()
   | _ -> Alcotest.fail "expected Unsupported"
 
+(* Three nested binders of one name: the third rename must avoid the
+   columns the first two introduced, or two quantifiers alias and the
+   innermost P(q0) reads the universal's column. *)
+let test_nested_shadowing () =
+  let db =
+    database ~predicates:[ ("P", 1); ("R", 2) ] ~constants:[ "a"; "b"; "c" ]
+      ~facts:[ ("P", [ "a" ]) ] ()
+  in
+  let query = q "(q0). exists q0. forall q0. exists q0. P(q0)" in
+  let all = Relation.of_tuples 1 [ [ "a" ]; [ "b" ]; [ "c" ] ] in
+  check Support.relation_testable "exact" all (Certain.answer db query);
+  check Support.relation_testable "approximation" all (Approx.answer db query);
+  check Support.relation_testable "Reiter" all (Reiter.answer db query)
+
 (* The Remark: Reiter's answers = the approximation's answers, on
    random first-order database/query pairs. *)
 let remark_reiter_equals_approx =
@@ -100,4 +114,5 @@ let suite =
     Support.qcheck_case remark_reiter_equals_approx_binary;
     Support.qcheck_case reiter_sound;
     Support.qcheck_case reiter_complete_fragments;
+    Alcotest.test_case "nested binders of one name" `Quick test_nested_shadowing;
   ]
