@@ -13,24 +13,60 @@ module Fact_set = Set.Make (struct
     if c <> 0 then c else List.compare String.compare a.args b.args
 end)
 
-module Pair_set = Set.Make (struct
-  type t = string * string
+module Ranks = Hashtbl.Make (struct
+  type t = string
 
-  let compare (a1, a2) (b1, b2) =
-    let c = String.compare a1 b1 in
-    if c <> 0 then c else String.compare a2 b2
+  let equal = String.equal
+  let hash = Hashtbl.hash
 end)
 
+(* The uniqueness axioms over the [n] sorted constants are one bit per
+   unordered pair of ranks [i < j], row by row: the bits of row [i] are
+   contiguous, and a walk in bit order visits the pairs sorted by
+   [(names.(i), names.(j))]. Padding bits in the last byte stay zero,
+   so two matrices over one constant set are equal iff their bytes
+   are. [ranks] is built with [names] and never mutated afterwards:
+   databases that share a constant set share it, across domains too.
+   [bits] is never mutated once the database is returned. *)
 type t = {
   vocabulary : Vocabulary.t;
+  names : string array;
+  ranks : int Ranks.t;
   facts : Fact_set.t;
-  distinct : Pair_set.t;
+  bits : Bytes.t;
+  pairs : int;
 }
 
-let normalize_pair c d = if String.compare c d <= 0 then (c, d) else (d, c)
+let pair_count n = n * (n - 1) / 2
 
-let check_fact vocabulary { pred; args } =
-  (match Vocabulary.arity_opt vocabulary pred with
+(* Bit of the pair [i < j]: rows 0..i-1 hold (n-1) + ... + (n-i) bits. *)
+let bit_index n i j = (i * ((2 * n) - i - 1) / 2) + (j - i - 1)
+
+let test_bit bits k =
+  Char.code (Bytes.get bits (k lsr 3)) land (1 lsl (k land 7)) <> 0
+
+(* Sets bit [k]; [true] when it was clear. *)
+let set_bit bits k =
+  let byte = Char.code (Bytes.get bits (k lsr 3)) in
+  let mask = 1 lsl (k land 7) in
+  byte land mask = 0
+  && begin
+    Bytes.set bits (k lsr 3) (Char.chr (byte lor mask));
+    true
+  end
+
+let constant_count db = Array.length db.names
+
+let distinct_ranks db i j =
+  let n = constant_count db in
+  if i < j then test_bit db.bits (bit_index n i j)
+  else j < i && test_bit db.bits (bit_index n j i)
+
+let check_constant ranks msg c =
+  if not (Ranks.mem ranks c) then invalid_arg (Printf.sprintf msg c)
+
+let check_fact db { pred; args } =
+  (match Vocabulary.arity_opt db.vocabulary pred with
   | None ->
     invalid_arg (Printf.sprintf "Cw_database: undeclared predicate %s" pred)
   | Some k ->
@@ -39,93 +75,164 @@ let check_fact vocabulary { pred; args } =
         (Printf.sprintf "Cw_database: fact %s has %d arguments, declared %d"
            pred (List.length args) k));
   List.iter
-    (fun c ->
-      if not (Vocabulary.mem_constant vocabulary c) then
-        invalid_arg
-          (Printf.sprintf "Cw_database: fact argument %s is not a constant" c))
+    (check_constant db.ranks "Cw_database: fact argument %s is not a constant")
     args
 
-let check_pair vocabulary c d =
-  if String.equal c d then
-    invalid_arg
-      (Printf.sprintf "Cw_database: uniqueness axiom ~(%s = %s) is inconsistent"
-         c d);
-  List.iter
-    (fun x ->
-      if not (Vocabulary.mem_constant vocabulary x) then
-        invalid_arg (Printf.sprintf "Cw_database: %s is not a constant" x))
-    [ c; d ]
+let inconsistent c =
+  invalid_arg
+    (Printf.sprintf "Cw_database: uniqueness axiom ~(%s = %s) is inconsistent"
+       c c)
+
+(* The ranks [(i, j)], [i < j], of a uniqueness axiom's two
+   constants, after [make]'s checks. *)
+let pair_ranks db c d =
+  if String.equal c d then inconsistent c;
+  let rank x =
+    match Ranks.find_opt db.ranks x with
+    | Some r -> r
+    | None ->
+      invalid_arg (Printf.sprintf "Cw_database: %s is not a constant" x)
+  in
+  let i = rank c in
+  let j = rank d in
+  if i < j then (i, j) else (j, i)
+
+(* A database over [names], the vocabulary's constants sorted: checks
+   [facts], then sets the bit of each pair of ranks [i < j] that [fill]
+   passes to its second argument. *)
+let build vocabulary names ~facts fill =
+  let n = Array.length names in
+  if n = 0 then
+    invalid_arg "Cw_database: the vocabulary needs at least one constant";
+  let ranks = Ranks.create (2 * n) in
+  Array.iteri (fun i c -> Ranks.replace ranks c i) names;
+  let db =
+    {
+      vocabulary;
+      names;
+      ranks;
+      facts = Fact_set.empty;
+      bits = Bytes.make ((pair_count n + 7) / 8) '\000';
+      pairs = 0;
+    }
+  in
+  List.iter (check_fact db) facts;
+  let pairs = ref 0 in
+  fill db (fun i j -> if set_bit db.bits (bit_index n i j) then incr pairs);
+  { db with facts = Fact_set.of_list facts; pairs = !pairs }
 
 let make ~vocabulary ~facts ~distinct =
-  if Vocabulary.constants vocabulary = [] then
-    invalid_arg "Cw_database: the vocabulary needs at least one constant";
-  List.iter (check_fact vocabulary) facts;
-  List.iter (fun (c, d) -> check_pair vocabulary c d) distinct;
-  {
-    vocabulary;
-    facts = Fact_set.of_list facts;
-    distinct =
-      Pair_set.of_list (List.map (fun (c, d) -> normalize_pair c d) distinct);
-  }
+  build vocabulary
+    (Array.of_list (Vocabulary.constants vocabulary))
+    ~facts
+    (fun db set ->
+      List.iter
+        (fun (c, d) ->
+          let i, j = pair_ranks db c d in
+          set i j)
+        distinct)
+
+let make_interned ~names ~predicates ~facts ~distinct =
+  let n = Array.length names in
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> String.compare names.(a) names.(b)) order;
+  let sorted = Array.map (fun id -> names.(id)) order in
+  for r = 1 to n - 1 do
+    if String.equal sorted.(r - 1) sorted.(r) then
+      invalid_arg
+        (Printf.sprintf "Cw_database: constant %s interned twice" sorted.(r))
+  done;
+  let rank = Array.make n 0 in
+  Array.iteri (fun r id -> rank.(id) <- r) order;
+  build
+    (Vocabulary.make ~constants:(Array.to_list sorted) ~predicates)
+    sorted ~facts
+    (fun _ set ->
+      distinct (fun a b ->
+          let i = rank.(a) and j = rank.(b) in
+          if i < j then set i j
+          else if j < i then set j i
+          else inconsistent names.(a)))
 
 let vocabulary db = db.vocabulary
-let constants db = Vocabulary.constants db.vocabulary
+let constants db = Array.to_list db.names
 let facts db = Fact_set.elements db.facts
 
 let facts_of db p =
-  Fact_set.fold
-    (fun f acc -> if String.equal f.pred p then f.args :: acc else acc)
-    db.facts []
-  |> List.rev
+  Fact_set.to_seq_from { pred = p; args = [] } db.facts
+  |> Seq.take_while (fun f -> String.equal f.pred p)
+  |> Seq.map (fun f -> f.args)
+  |> List.of_seq
 
-let distinct_pairs db = Pair_set.elements db.distinct
+let mem_fact db fact = Fact_set.mem fact db.facts
+
+(* Walks the bits backwards so the list comes out in order. *)
+let distinct_pairs db =
+  let n = constant_count db in
+  let acc = ref [] in
+  for i = n - 2 downto 0 do
+    let row = bit_index n i (i + 1) in
+    for j = n - 1 downto i + 1 do
+      if test_bit db.bits (row + j - i - 1) then
+        acc := (db.names.(i), db.names.(j)) :: !acc
+    done
+  done;
+  !acc
 
 let are_distinct db c d =
-  (not (String.equal c d)) && Pair_set.mem (normalize_pair c d) db.distinct
+  match Ranks.find db.ranks c with
+  | exception Not_found -> false
+  | i -> (
+    match Ranks.find db.ranks d with
+    | exception Not_found -> false
+    | j -> distinct_ranks db i j)
 
-let all_pairs cs =
-  let rec go acc = function
-    | [] -> acc
-    | c :: rest -> go (List.fold_left (fun a d -> (c, d) :: a) acc rest) rest
-  in
-  go [] cs
-
-let is_fully_specified db =
-  List.for_all (fun (c, d) -> are_distinct db c d) (all_pairs (constants db))
+let is_fully_specified db = db.pairs = pair_count (constant_count db)
 
 let fully_specify db =
-  {
-    db with
-    distinct =
-      List.fold_left
-        (fun acc (c, d) -> Pair_set.add (normalize_pair c d) acc)
-        db.distinct
-        (all_pairs (constants db));
-  }
+  let n = constant_count db in
+  let total = pair_count n in
+  let bits = Bytes.make (Bytes.length db.bits) '\255' in
+  (* clear the padding bits of the last byte *)
+  if total land 7 <> 0 then
+    Bytes.set bits (total lsr 3) (Char.chr ((1 lsl (total land 7)) - 1));
+  { db with bits; pairs = total }
 
-let known_values db =
-  let cs = constants db in
-  List.filter
-    (fun c ->
-      List.for_all
-        (fun d -> String.equal c d || are_distinct db c d)
-        cs)
-    cs
+(* [i] is a known value when its row and column are all set. *)
+let known_rank db i =
+  let n = constant_count db in
+  let rec from j =
+    j >= n || ((j = i || distinct_ranks db i j) && from (j + 1))
+  in
+  from 0
 
-let unknown_values db =
-  let known = known_values db in
-  List.filter (fun c -> not (List.mem c known)) (constants db)
+let partition_values db =
+  let known = ref [] and unknown = ref [] in
+  for i = constant_count db - 1 downto 0 do
+    if known_rank db i then known := db.names.(i) :: !known
+    else unknown := db.names.(i) :: !unknown
+  done;
+  (!known, !unknown)
+
+let known_values db = fst (partition_values db)
+let unknown_values db = snd (partition_values db)
 
 let add_fact db fact =
-  check_fact db.vocabulary fact;
+  check_fact db fact;
   { db with facts = Fact_set.add fact db.facts }
 
 let add_distinct db c d =
-  check_pair db.vocabulary c d;
-  { db with distinct = Pair_set.add (normalize_pair c d) db.distinct }
+  let i, j = pair_ranks db c d in
+  let k = bit_index (constant_count db) i j in
+  if test_bit db.bits k then db
+  else begin
+    let bits = Bytes.copy db.bits in
+    ignore (set_bit bits k);
+    { db with bits; pairs = db.pairs + 1 }
+  end
 
 let remove_fact db fact =
-  check_fact db.vocabulary fact;
+  check_fact db fact;
   if not (Fact_set.mem fact db.facts) then
     invalid_arg
       (Printf.sprintf "Cw_database: fact %s(%s) is not in the database"
@@ -135,9 +242,7 @@ let remove_fact db fact =
 
 let merge_constants db ~keep ~drop =
   List.iter
-    (fun x ->
-      if not (Vocabulary.mem_constant db.vocabulary x) then
-        invalid_arg (Printf.sprintf "Cw_database: %s is not a constant" x))
+    (check_constant db.ranks "Cw_database: %s is not a constant")
     [ keep; drop ];
   if String.equal keep drop then
     invalid_arg
@@ -149,41 +254,46 @@ let merge_constants db ~keep ~drop =
           them to equal is inconsistent"
          keep drop);
   let subst c = if String.equal c drop then keep else c in
-  let vocabulary =
-    Vocabulary.make
-      ~constants:
-        (List.filter
-           (fun c -> not (String.equal c drop))
-           (Vocabulary.constants db.vocabulary))
-      ~predicates:(Vocabulary.predicates db.vocabulary)
+  let n = constant_count db in
+  let dropped = Ranks.find db.ranks drop in
+  let shift r = if r < dropped then r else r - 1 in
+  let kept = shift (Ranks.find db.ranks keep) in
+  (* Old rank to new: [drop] takes [keep]'s rank. A pair collapsing onto
+     itself would be ¬(keep = keep); it can only come from a
+     (keep, drop) axiom, refused above, but keep the guard so the
+     invariant is local. *)
+  let renumber r = if r = dropped then kept else shift r in
+  let names =
+    Array.init (n - 1) (fun r -> db.names.(if r < dropped then r else r + 1))
+  in
+  let merged =
+    build
+      (Vocabulary.make ~constants:(Array.to_list names)
+         ~predicates:(Vocabulary.predicates db.vocabulary))
+      names ~facts:[]
+      (fun _ set ->
+        for i = 0 to n - 2 do
+          for j = i + 1 to n - 1 do
+            if distinct_ranks db i j then begin
+              let a = renumber i and b = renumber j in
+              if a < b then set a b else if b < a then set b a
+            end
+          done
+        done)
   in
   let facts =
     Fact_set.fold
       (fun f acc -> Fact_set.add { f with args = List.map subst f.args } acc)
       db.facts Fact_set.empty
   in
-  let distinct =
-    Pair_set.fold
-      (fun (c, d) acc ->
-        let c = subst c and d = subst d in
-        (* A pair collapsing onto itself would be ¬(keep = keep); it can
-           only arise from a (c, d) pair where the merge was checked
-           inconsistent above, so this is unreachable — but keep the
-           guard so the invariant is local. *)
-        if String.equal c d then acc else Pair_set.add (normalize_pair c d) acc)
-      db.distinct Pair_set.empty
-  in
-  { vocabulary; facts; distinct }
+  { merged with facts }
 
-let size db =
-  Fact_set.cardinal db.facts
-  + Pair_set.cardinal db.distinct
-  + List.length (constants db)
+let size db = Fact_set.cardinal db.facts + db.pairs + constant_count db
 
 let equal a b =
   Vocabulary.equal a.vocabulary b.vocabulary
   && Fact_set.equal a.facts b.facts
-  && Pair_set.equal a.distinct b.distinct
+  && a.pairs = b.pairs && Bytes.equal a.bits b.bits
 
 let pp ppf db =
   let pp_fact ppf f =

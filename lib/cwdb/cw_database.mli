@@ -5,7 +5,30 @@
     completion axioms are implied (paper: "In practice it suffices to
     specify the atomic fact axioms and the uniqueness axioms"). This
     module stores exactly those two components; {!Axioms} reconstructs
-    the full five-component theory on demand. *)
+    the full five-component theory on demand.
+
+    {b Representation.} The [n] constants are kept sorted, each with
+    its {e rank} (its index in that order) in a name-to-rank hash table
+    that is built once per constant set and never mutated, so databases
+    and worker domains share it freely. The uniqueness axioms are one
+    bit per unordered pair of ranks [i < j], row by row, plus a count
+    of the set bits: n(n−1)/2 bits, 4 KB for a fully specified database
+    of 256 constants, whose 32,640 axioms a set of string pairs would
+    hold as 32,640 tree nodes. Facts are a balanced set ordered by
+    predicate, then arguments.
+
+    {b Costs} ([n] constants, [F] facts, [D] uniqueness axioms):
+    - {!are_distinct}: two hash lookups and a bit test;
+    - {!is_fully_specified}: O(1), a comparison of the pair count;
+    - {!distinct_pairs}: O(n²) bit tests, in sorted order;
+    - {!known_values}, {!unknown_values}: O(n²) row scans;
+    - {!fully_specify}: an O(n²/8) fill;
+    - {!add_distinct}: O(1) when the axiom is present, else an
+      O(n²/8) copy of the matrix;
+    - {!facts_of}: O(log F) plus the predicate's facts;
+    - {!mem_fact}, {!add_fact}, {!remove_fact}: O(log F);
+    - {!make}, {!make_interned}: O(n log n + F log F + D);
+    - {!merge_constants}: O(n² + F log F). *)
 
 (** An atomic fact axiom [P(c1, ..., ck)]. *)
 type fact = {
@@ -36,6 +59,22 @@ val make :
   distinct:(string * string) list ->
   t
 
+(** [make_interned ~names ~predicates ~facts ~distinct] is {!make} for
+    a loader that interns its constants: the vocabulary's constants are
+    [names], each once, in any order, and [distinct f] calls [f a b]
+    for each uniqueness axiom [¬(names.(a) = names.(b))]. Each constant
+    is then hashed once however often the input mentions it.
+
+    @raise Invalid_argument as {!make} does, on an arity clash in
+    [predicates] (see {!Vardi_logic.Vocabulary.make}), on a name
+    repeated in [names], and on an id out of range. *)
+val make_interned :
+  names:string array ->
+  predicates:(string * int) list ->
+  facts:fact list ->
+  distinct:((int -> int -> unit) -> unit) ->
+  t
+
 val vocabulary : t -> Vardi_logic.Vocabulary.t
 
 (** The constant set [C] of [L], sorted. *)
@@ -45,14 +84,22 @@ val constants : t -> string list
 val facts : t -> fact list
 
 (** [facts_of db p] is the list of argument tuples of the atomic facts
-    about predicate [p]. *)
+    about predicate [p], sorted. It reads [p]'s range of the fact set
+    only. *)
 val facts_of : t -> string -> string list list
 
+(** [mem_fact db f] holds when [f] is an atomic fact axiom of [db]. A
+    fact that fails {!make}'s validation is never one, and is answered
+    [false] rather than refused. *)
+val mem_fact : t -> fact -> bool
+
 (** Uniqueness axioms as sorted unordered pairs [(ci, cj)] with
-    [ci < cj]. *)
+    [ci < cj] (byte order, so ["B"] before ["a"] and ["a10"] before
+    ["a9"]). *)
 val distinct_pairs : t -> (string * string) list
 
-(** [are_distinct db c d] holds when [¬(c = d)] is an axiom. *)
+(** [are_distinct db c d] holds when [¬(c = d)] is an axiom; it is
+    [false] when [c = d] or either name is not a constant. *)
 val are_distinct : t -> string -> string -> bool
 
 (** A database is fully specified when every pair of distinct constants

@@ -82,7 +82,8 @@ let checkpoint_locked t =
 let probe db (m : Session.mutation) =
   match m with
   | Session.Insert f ->
-    if List.mem f.args (Cw_database.facts_of db f.pred) then `Noop
+    (* a member fact is valid, so only a new one needs the check *)
+    if Cw_database.mem_fact db f then `Noop
     else begin
       ignore (Cw_database.add_fact db f);
       `Changes

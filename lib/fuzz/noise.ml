@@ -5,6 +5,7 @@ module Ty_formula = Vardi_typed.Ty_formula
 module Ldb_format = Vardi_format.Ldb_format
 module Tldb_format = Vardi_format.Tldb_format
 module Obs = Vardi_obs.Obs
+module Cw_database = Vardi_cwdb.Cw_database
 
 type crash = {
   target : string;
@@ -36,6 +37,48 @@ let allowed = function
          runtime_invalid_arg_markers)
   | _ -> false
 
+(* --- parse parity: the one-pass parser against the reference --- *)
+
+type ldb_outcome =
+  | Parsed of Cw_database.t
+  | Refused of int * string  (* Syntax_error *)
+  | Invalid  (* Invalid_argument, whatever the message *)
+  | Raised of string
+
+let ldb_outcome parse text =
+  match parse text with
+  | db -> Parsed db
+  | exception Ldb_format.Syntax_error (line, msg) -> Refused (line, msg)
+  | exception Invalid_argument _ -> Invalid
+  | exception Sys.Break -> raise Sys.Break
+  | exception e -> Raised (Printexc.to_string e)
+
+let show_outcome = function
+  | Parsed _ -> "a database"
+  | Refused (line, msg) -> Printf.sprintf "Syntax_error (%d, %S)" line msg
+  | Invalid -> "Invalid_argument"
+  | Raised e -> e
+
+let ldb_parse_parity text =
+  let fast = ldb_outcome Ldb_format.parse text in
+  let reference = ldb_outcome Reference.ldb_parse text in
+  match (fast, reference) with
+  | Parsed a, Parsed b when Cw_database.equal a b -> Ok (Some a)
+  | Refused (l, m), Refused (l', m') when l = l' && String.equal m m' -> Ok None
+  | Invalid, Invalid -> Ok None
+  | Raised e, Raised e' when String.equal e e' -> Ok None
+  | _ ->
+    Error
+      (Printf.sprintf "Ldb_format.parse gave %s, the reference parser %s"
+         (show_outcome fast) (show_outcome reference))
+
+exception Parse_parity of string
+
+let () =
+  Printexc.register_printer (function
+    | Parse_parity detail -> Some ("parse parity: " ^ detail)
+    | _ -> None)
+
 type target = {
   name : string;
   run : string -> unit;
@@ -47,6 +90,14 @@ let targets =
     { name = "parser.query"; run = (fun s -> ignore (Parser.query s)) };
     { name = "ty_parser.query"; run = (fun s -> ignore (Ty_parser.query s)) };
     { name = "ldb_format.parse"; run = (fun s -> ignore (Ldb_format.parse s)) };
+    {
+      name = "ldb_format.parse-parity";
+      run =
+        (fun s ->
+          match ldb_parse_parity s with
+          | Ok _ -> ()
+          | Error detail -> raise (Parse_parity detail));
+    };
     {
       name = "tldb_format.parse";
       run = (fun s -> ignore (Tldb_format.parse s));

@@ -7,7 +7,10 @@
     [Parse_error], [Lex_error], [Syntax_error], [Type_error], and
     parser-layer [Invalid_argument] are expected; [Stack_overflow],
     [Assert_failure], [Failure] or a runtime [Invalid_argument]
-    ("index out of bounds" and friends) are crashes.
+    ("index out of bounds" and friends) are crashes. The
+    [ldb_format.parse-parity] target also reports every input on which
+    {!Vardi_format.Ldb_format.parse} and {!Reference.ldb_parse}
+    disagree (see {!ldb_parse_parity}).
 
     Inputs mix a syntax-biased fragment alphabet (so the fuzz reaches
     past the lexer), raw bytes, and mutations of well-formed seeds
@@ -21,6 +24,15 @@ type crash = {
 }
 
 val pp_crash : crash Fmt.t
+
+(** [ldb_parse_parity text] runs {!Vardi_format.Ldb_format.parse} and
+    the reference parser {!Reference.ldb_parse} on [text]. They agree
+    when both read {!Vardi_cwdb.Cw_database.equal} databases
+    ([Ok (Some db)]), or both raise [Syntax_error] with the same line
+    and message, or both raise [Invalid_argument] ([Ok None]). [Error]
+    describes a disagreement. *)
+val ldb_parse_parity :
+  string -> (Vardi_cwdb.Cw_database.t option, string) result
 
 (** [check_input s] runs every parser target on [s] and returns the
     contract violations (normal termination and documented exceptions

@@ -60,6 +60,7 @@ let oracle_ids =
     "resilient-fault-safety";
     "query-roundtrip";
     "ldb-roundtrip";
+    "ldb-parse-parity";
     "typed-approx-sound";
     "typed-query-roundtrip";
     "tldb-roundtrip";
@@ -144,6 +145,66 @@ let check_ldb_roundtrip ctx db =
       add ctx "ldb-roundtrip"
         (Printf.sprintf "printed form reparses differently:\n%s"
            (Ldb_format.print db))
+
+(* The printed database as a hand-edited file might hold it: words
+   spaced with tabs and runs of blanks, indented lines, trailing
+   comments, comment and blank lines, repeated lines, the lines
+   shuffled, CRLF endings and no final newline. None of it changes the
+   database the text describes. *)
+let reformat state text =
+  let pick a = a.(Random.State.int state (Array.length a)) in
+  let chance n = Random.State.int state n = 0 in
+  let respace line =
+    String.split_on_char ' ' line
+    |> List.map (fun w -> w ^ pick [| " "; "  "; "\t"; " \t" |])
+    |> String.concat "" |> String.trim
+  in
+  let edit line =
+    let line = if chance 3 then respace line else line in
+    let line = if chance 4 then pick [| " "; "\t"; "\t " |] ^ line else line in
+    if chance 4 then line ^ pick [| " # note"; "#"; "\t# x # y"; " \t" |]
+    else line
+  in
+  let lines =
+    List.concat_map
+      (fun line ->
+        (if chance 6 then [ pick [| ""; "   "; "# comment"; "\t# c" |] ] else [])
+        @ (if chance 6 then [ edit line; edit line ] else [ edit line ]))
+      (List.filter (fun l -> l <> "") (String.split_on_char '\n' text))
+  in
+  let lines = Array.of_list lines in
+  if chance 2 then
+    for i = Array.length lines - 1 downto 1 do
+      let j = Random.State.int state (i + 1) in
+      let t = lines.(i) in
+      lines.(i) <- lines.(j);
+      lines.(j) <- t
+    done;
+  let crlf = Random.State.int state 3 in
+  let buffer = Buffer.create (String.length text + 64) in
+  Array.iteri
+    (fun i line ->
+      Buffer.add_string buffer line;
+      if i < Array.length lines - 1 || not (chance 3) then
+        Buffer.add_string buffer
+          (if crlf = 0 || (crlf = 1 && chance 2) then "\r\n" else "\n"))
+    lines;
+  Buffer.contents buffer
+
+(* The one-pass parser agrees with the reference parser on a reformatted
+   printing of [db], and both read back [db]. *)
+let check_ldb_parse_parity ctx db =
+  let oracle = "ldb-parse-parity" in
+  let text = Ldb_format.print db in
+  let state = Random.State.make [| Hashtbl.hash text; 0x1DB |] in
+  let noisy = reformat state text in
+  match guard ctx oracle (fun () -> Noise.ldb_parse_parity noisy) with
+  | None -> ()
+  | Some (Error detail) -> add ctx oracle (Printf.sprintf "%s on %S" detail noisy)
+  | Some (Ok (Some db')) when Cw_database.equal db db' -> ()
+  | Some (Ok _) ->
+    add ctx oracle
+      (Printf.sprintf "%S does not read back the database it reformats" noisy)
 
 (* --- the differential engine oracles --- *)
 
@@ -994,6 +1055,7 @@ let check ?(domains = 2) ?faults_seed db q =
   Obs.span "fuzz.oracle" (fun () ->
       check_query_roundtrip ctx q;
       check_ldb_roundtrip ctx db;
+      check_ldb_parse_parity ctx db;
       if Query.is_boolean q then check_boolean ctx ~domains db q
       else check_relational ctx ~domains db q;
       check_acq_parity ctx db q;

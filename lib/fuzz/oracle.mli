@@ -67,6 +67,13 @@
       with the same provenance, as freshly prepared ones;
     - [query-roundtrip], [ldb-roundtrip]: pretty-printed queries and
       databases reparse to equal values;
+    - [ldb-parse-parity]: the printed database, reformatted the ways a
+      hand-edited file differs from printed output (tabs and runs of
+      blanks, indentation, trailing and whole-line comments, blank and
+      repeated lines, shuffled lines, CRLF endings, no final newline),
+      is read alike by {!Vardi_format.Ldb_format.parse} and the
+      reference parser {!Reference.ldb_parse}, and both read back the
+      database (see {!Noise.ldb_parse_parity});
     - typed lane: [typed-approx-sound], [typed-query-roundtrip],
       [tldb-roundtrip] — the same properties through the
       {!Vardi_typed} elaboration.

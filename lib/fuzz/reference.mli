@@ -61,3 +61,12 @@ val possible_answer :
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   Vardi_relational.Relation.t
+
+(** [ldb_parse text] is the reference [.ldb] parser. It reads line
+    by line through word lists and hands every mention of a constant to
+    {!Vardi_cwdb.Cw_database.make}, sharing no scanning code with
+    {!Vardi_format.Ldb_format.parse}, under the same contract (the same
+    [Syntax_error] line and message, [Invalid_argument] on a semantic
+    violation). The parse-parity checks ({!Noise.check_input} and the
+    [ldb-parse-parity] oracle) diff the one-pass parser against it. *)
+val ldb_parse : string -> Vardi_cwdb.Cw_database.t

@@ -153,11 +153,13 @@ let install_fact_delta t v db pred =
 let insert t fact =
   locked t (fun () ->
       let v = t.view in
-      let db = Cw_database.add_fact v.v_db fact in
       (* Adding a present fact is a no-op: skip the epoch bump so warm
-         caches stay warm. *)
-      if not (Cw_database.equal db v.v_db) then
-        install_fact_delta t v db fact.Cw_database.pred)
+         caches stay warm. A present fact is valid; a new one is
+         checked by [add_fact]. *)
+      if not (Cw_database.mem_fact v.v_db fact) then
+        install_fact_delta t v
+          (Cw_database.add_fact v.v_db fact)
+          fact.Cw_database.pred)
 
 let retract t fact =
   locked t (fun () ->
@@ -170,8 +172,10 @@ let close_unknown t c d ~to_ =
       let v = t.view in
       match to_ with
       | `Distinct ->
-        let db = Cw_database.add_distinct v.v_db c d in
-        if not (Cw_database.equal db v.v_db) then begin
+        (* An axiom already present is a no-op; a new one is checked by
+           [add_distinct]. *)
+        if not (Cw_database.are_distinct v.v_db c d) then begin
+          let db = Cw_database.add_distinct v.v_db c d in
           (* Codes and facts are unchanged — the new uniqueness axiom
              only prunes the partition enumeration. The symtab must be
              rebuilt (it bakes in the distinct matrix), but every

@@ -392,6 +392,274 @@ let test_query_check () =
         (Parser.query "(x). TEACHES(x, plato)")
         [ "a"; "b" ])
 
+(* --- the bit-matrix store against a list model ---
+
+   The model keeps what the database means: sorted constants, sorted
+   facts and sorted normalized pairs, as plain lists. Every operation
+   runs on both, a refusal must come with the model's, and after every
+   step each observation must agree. Names are chosen so byte order
+   surprises: "B" < "_x" < "a" < "a10" < "a9". "q" is never declared. *)
+
+type model = {
+  m_constants : string list;
+  m_facts : (string * string list) list;
+  m_pairs : (string * string) list;
+}
+
+type op =
+  | Add_distinct of string * string
+  | Fully_specify
+  | Merge of string * string
+  | Add_fact of string * string list
+  | Remove_fact of string * string list
+
+let model_pool = [ "B"; "_x"; "a"; "a10"; "a9"; "b'"; "q" ]
+let model_predicates = [ ("P", 1); ("R", 2); ("Z", 0) ]
+let norm c d = if String.compare c d <= 0 then (c, d) else (d, c)
+let sorted_uniq l = List.sort_uniq compare l
+
+let model_distinct m c d = c <> d && List.mem (norm c d) m.m_pairs
+
+let model_all_pairs m =
+  List.concat_map
+    (fun c ->
+      List.filter_map
+        (fun d -> if c < d then Some (c, d) else None)
+        m.m_constants)
+    m.m_constants
+
+let model_known m =
+  List.filter
+    (fun c ->
+      List.for_all (fun d -> d = c || model_distinct m c d) m.m_constants)
+    m.m_constants
+
+let declared m c = List.mem c m.m_constants
+
+let model_valid_fact m (p, args) =
+  List.assoc_opt p model_predicates = Some (List.length args)
+  && List.for_all (declared m) args
+
+(* [Some m'] is the model after [op]; [None] when the database must
+   refuse it. *)
+let model_step m = function
+  | Add_distinct (c, d) ->
+    if c = d || not (declared m c && declared m d) then None
+    else Some { m with m_pairs = sorted_uniq (norm c d :: m.m_pairs) }
+  | Fully_specify -> Some { m with m_pairs = model_all_pairs m }
+  | Merge (keep, drop) ->
+    if
+      keep = drop
+      || (not (declared m keep && declared m drop))
+      || model_distinct m keep drop
+    then None
+    else
+      let subst c = if c = drop then keep else c in
+      Some
+        {
+          m_constants = List.filter (fun c -> c <> drop) m.m_constants;
+          m_facts =
+            sorted_uniq
+              (List.map (fun (p, args) -> (p, List.map subst args)) m.m_facts);
+          m_pairs =
+            sorted_uniq
+              (List.filter_map
+                 (fun (c, d) ->
+                   let c = subst c and d = subst d in
+                   if c = d then None else Some (norm c d))
+                 m.m_pairs);
+        }
+  | Add_fact (p, args) ->
+    if model_valid_fact m (p, args) then
+      Some { m with m_facts = sorted_uniq ((p, args) :: m.m_facts) }
+    else None
+  | Remove_fact (p, args) ->
+    if model_valid_fact m (p, args) && List.mem (p, args) m.m_facts then
+      Some { m with m_facts = List.filter (( <> ) (p, args)) m.m_facts }
+    else None
+
+let apply_op db = function
+  | Add_distinct (c, d) -> Cw_database.add_distinct db c d
+  | Fully_specify -> Cw_database.fully_specify db
+  | Merge (keep, drop) -> Cw_database.merge_constants db ~keep ~drop
+  | Add_fact (pred, args) -> Cw_database.add_fact db { Cw_database.pred; args }
+  | Remove_fact (pred, args) ->
+    Cw_database.remove_fact db { Cw_database.pred; args }
+
+let show_op = function
+  | Add_distinct (c, d) -> Printf.sprintf "distinct %s %s" c d
+  | Fully_specify -> "fully_specify"
+  | Merge (k, d) -> Printf.sprintf "merge %s <- %s" k d
+  | Add_fact (p, a) -> Printf.sprintf "add %s(%s)" p (String.concat ", " a)
+  | Remove_fact (p, a) ->
+    Printf.sprintf "remove %s(%s)" p (String.concat ", " a)
+
+let to_facts = List.map (fun (pred, args) -> { Cw_database.pred; args })
+
+(* The database the model describes, built from scratch. *)
+let of_model m =
+  Cw_database.make
+    ~vocabulary:
+      (Vocabulary.make ~constants:m.m_constants ~predicates:model_predicates)
+    ~facts:(to_facts m.m_facts) ~distinct:m.m_pairs
+
+(* Where [db] and [m] disagree, if anywhere. *)
+let model_mismatch db m =
+  let names = model_pool @ [ "" ] in
+  let facts = List.map (fun f -> (f.Cw_database.pred, f.Cw_database.args)) in
+  let checks =
+    [
+      ("constants", Cw_database.constants db = m.m_constants);
+      ("distinct_pairs", Cw_database.distinct_pairs db = m.m_pairs);
+      ( "are_distinct",
+        List.for_all
+          (fun c ->
+            List.for_all
+              (fun d -> Cw_database.are_distinct db c d = model_distinct m c d)
+              names)
+          names );
+      ( "is_fully_specified",
+        Cw_database.is_fully_specified db
+        = List.for_all
+            (fun (c, d) -> model_distinct m c d)
+            (model_all_pairs m) );
+      ("known_values", Cw_database.known_values db = model_known m);
+      ( "unknown_values",
+        Cw_database.unknown_values db
+        = List.filter
+            (fun c -> not (List.mem c (model_known m)))
+            m.m_constants );
+      ( "size",
+        Cw_database.size db
+        = List.length m.m_facts + List.length m.m_pairs
+          + List.length m.m_constants );
+      ("facts", facts (Cw_database.facts db) = m.m_facts);
+      ( "facts_of",
+        List.for_all
+          (fun p ->
+            Cw_database.facts_of db p
+            = List.filter_map
+                (fun (q, a) -> if q = p then Some a else None)
+                m.m_facts)
+          [ "P"; "R"; "Z"; "Q"; "" ] );
+      ( "mem_fact",
+        List.for_all
+          (fun (pred, args) ->
+            Cw_database.mem_fact db { Cw_database.pred; args }
+            = List.mem (pred, args) m.m_facts)
+          (m.m_facts
+          @ [
+              ("P", [ "q" ]);
+              ("R", [ "a"; "B" ]);
+              ("Z", []);
+              ("Q", [ "a" ]);
+              ("P", []);
+            ]) );
+      ("equal", Cw_database.equal db (of_model m));
+    ]
+  in
+  List.find_map (fun (what, ok) -> if ok then None else Some what) checks
+
+let gen_model_case =
+  let open QCheck2.Gen in
+  let name = oneofl model_pool in
+  let* constants =
+    list_size (int_range 1 6) (oneofl (List.filter (( <> ) "q") model_pool))
+  in
+  let constants = sorted_uniq constants in
+  let declared = oneofl constants in
+  (* facts of every shape, R/1 of the wrong arity among them *)
+  let gen_fact c =
+    oneof
+      [
+        map (fun x -> ("P", [ x ])) c;
+        map2 (fun x y -> ("R", [ x; y ])) c c;
+        return ("Z", []);
+        map (fun x -> ("R", [ x ])) c;
+      ]
+  in
+  let* pairs = list_size (int_bound 8) (pair declared declared) in
+  let* facts = list_size (int_bound 6) (gen_fact declared) in
+  let* ops =
+    list_size (int_bound 12)
+      (frequency
+         [
+           (4, map2 (fun c d -> Add_distinct (c, d)) name name);
+           (1, return Fully_specify);
+           (2, map2 (fun c d -> Merge (c, d)) name name);
+           (3, map (fun (p, a) -> Add_fact (p, a)) (gen_fact name));
+           (3, map (fun (p, a) -> Remove_fact (p, a)) (gen_fact name));
+         ])
+  in
+  let m = { m_constants = constants; m_facts = []; m_pairs = [] } in
+  return
+    ( {
+        m with
+        m_facts = sorted_uniq (List.filter (model_valid_fact m) facts);
+        m_pairs =
+          sorted_uniq
+            (List.filter_map
+               (fun (c, d) -> if c = d then None else Some (norm c d))
+               pairs);
+      },
+      ops )
+
+let print_model_case (m, ops) =
+  Printf.sprintf "constants %s; facts %d; pairs %s; ops: %s"
+    (String.concat " " m.m_constants)
+    (List.length m.m_facts)
+    (String.concat " " (List.map (fun (c, d) -> c ^ "/" ^ d) m.m_pairs))
+    (String.concat "; " (List.map show_op ops))
+
+let bit_matrix_matches_model =
+  QCheck2.Test.make ~count:300 ~name:"bit matrix = list model"
+    ~print:print_model_case gen_model_case (fun (m0, ops) ->
+      let fail step what =
+        QCheck2.Test.fail_reportf "after %s: %s disagrees" step what
+      in
+      (* [make_interned] over the names in reverse order and with
+         repeated pairs must build the same database as [make]. *)
+      let names = Array.of_list (List.rev m0.m_constants) in
+      let id c =
+        let rec go i = if names.(i) = c then i else go (i + 1) in
+        go 0
+      in
+      let interned =
+        Cw_database.make_interned ~names ~predicates:model_predicates
+          ~facts:(to_facts m0.m_facts) ~distinct:(fun f ->
+            List.iter
+              (fun (c, d) ->
+                f (id d) (id c);
+                f (id c) (id d))
+              m0.m_pairs)
+      in
+      if not (Cw_database.equal interned (of_model m0)) then
+        fail "make_interned" "equal";
+      let step (db, m) op =
+        let result =
+          match apply_op db op with
+          | db' -> Ok db'
+          | exception Invalid_argument msg -> Error msg
+        in
+        match (model_step m op, result) with
+        | None, Error _ -> (db, m)
+        | None, Ok _ -> fail (show_op op) "refusal (the database accepted it)"
+        | Some _, Error msg ->
+          fail (show_op op) ("acceptance (refused: " ^ msg ^ ")")
+        | Some m', Ok db' -> (
+          match model_mismatch db' m' with
+          | Some what -> fail (show_op op) what
+          | None when Cw_database.equal db db' <> (m = m') ->
+            fail (show_op op) "equal with the previous database"
+          | None -> (db', m'))
+      in
+      let db0 = of_model m0 in
+      (match model_mismatch db0 m0 with
+      | Some what -> fail "make" what
+      | None -> ());
+      ignore (List.fold_left step (db0, m0) ops);
+      true)
+
 let suite =
   [
     Alcotest.test_case "make validation" `Quick test_make_validation;
@@ -427,4 +695,5 @@ let suite =
     Support.qcheck_case ne_virtual_agrees;
     Support.qcheck_case ne_virtual_compact;
     Alcotest.test_case "query checks" `Quick test_query_check;
+    Support.qcheck_case bit_matrix_matches_model;
   ]
