@@ -1165,11 +1165,14 @@ let serve_bench args =
    probe query as sorted CSV rows on stdout — the same shape [ldb
    query] prints — so the CI incr-smoke job can diff it against the
    one-shot pipeline (ldb mutate --output F && ldb query F). The
-   script is written for data/socrates.ldb: it inserts
-   TEACHES(mystery, socrates), round-trips an insert/retract pair
-   (which must leave no trace), closes (socrates, mystery) to
-   distinct, and throws two malformed mutations at the wire to pin
-   their error codes. Any unexpected code exits 1. *)
+   script is written for data/socrates.ldb, whose load reports 1
+   fact: it inserts TEACHES(mystery, socrates), round-trips an
+   insert/retract pair (which must leave no trace), closes
+   (socrates, mystery) to distinct, re-inserts
+   TEACHES(mystery, socrates) (a no-op), and throws two malformed
+   mutations at the wire to pin their error codes. Every ack must
+   carry the fact count and delta epoch of its step. Any unexpected
+   code or count exits 1. *)
 
 let serve_mutate_bench args =
   let module Client = Logicaldb.Serve_client in
@@ -1196,25 +1199,42 @@ let serve_mutate_bench args =
       exit 1);
     resp
   in
+  (* [facts] (and [delta], where given) the response must report *)
+  let counts label ?delta facts resp =
+    let field k = Json.num_field k resp in
+    let want k v =
+      if field k <> Some (float_of_int v) then begin
+        Fmt.epr "serve-mutate: %s expected %s %d, got %s@." label k v
+          (Json.to_string resp);
+        exit 1
+      end
+    in
+    want "facts" facts;
+    Option.iter (want "delta") delta
+  in
   let op name rest = ("op", Json.Str name) :: rest in
   let on_db rest = str "db" "incr" :: rest in
   let probe = "(x, y). TEACHES(x, y)" in
-  ignore (expect "ok" "load" (op "load" (on_db [ str "path" db_path ])));
+  counts "load" 1
+    (expect "ok" "load" (op "load" (on_db [ str "path" db_path ])));
   ignore (expect "ok" "probe" (op "query" (on_db [ str "query" probe ])));
-  ignore
-    (expect "ok" "insert"
-       (op "insert" (on_db [ str "fact" "TEACHES(mystery, socrates)" ])));
-  ignore
+  let insert_mystery =
+    op "insert" (on_db [ str "fact" "TEACHES(mystery, socrates)" ])
+  in
+  counts "insert" 2 ~delta:1 (expect "ok" "insert" insert_mystery);
+  counts "insert (round-trip)" 3 ~delta:2
     (expect "ok" "insert (round-trip)"
        (op "insert" (on_db [ str "fact" "TEACHES(plato, mystery)" ])));
-  ignore
+  counts "retract (round-trip)" 2 ~delta:3
     (expect "ok" "retract (round-trip)"
        (op "retract" (on_db [ str "fact" "TEACHES(plato, mystery)" ])));
-  ignore
+  counts "close_unknown" 2 ~delta:4
     (expect "ok" "close_unknown"
        (op "close_unknown"
           (on_db
              [ str "left" "socrates"; str "right" "mystery"; str "to" "distinct" ])));
+  counts "re-insert (no-op)" 2 ~delta:4
+    (expect "ok" "re-insert (no-op)" insert_mystery);
   ignore
     (expect "parse_error" "malformed fact"
        (op "insert" (on_db [ str "fact" "((" ])));

@@ -91,7 +91,7 @@ let info_cmd =
              (List.map
                 (fun (p, k) -> Printf.sprintf "%s/%d" p k)
                 (Vocabulary.predicates (Cw_database.vocabulary db))));
-        Fmt.pr "facts: %d@." (List.length (Cw_database.facts db));
+        Fmt.pr "facts: %d@." (Cw_database.fact_count db);
         Fmt.pr "uniqueness axioms: %d@."
           (List.length (Cw_database.distinct_pairs db));
         Fmt.pr "fully specified: %b@." (Cw_database.is_fully_specified db);
@@ -990,7 +990,7 @@ let mutate_cmd =
         Ldb_format.save out (Incr_session.db session);
         Fmt.pr "%s: delta %d, %d facts@." out
           (Incr_session.delta_epoch session)
-          (List.length (Cw_database.facts (Incr_session.db session)));
+          (Cw_database.fact_count (Incr_session.db session));
         match query_text with
         | None -> ()
         | Some text ->

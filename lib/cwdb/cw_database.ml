@@ -27,12 +27,15 @@ end)
    so two matrices over one constant set are equal iff their bytes
    are. [ranks] is built with [names] and never mutated afterwards:
    databases that share a constant set share it, across domains too.
-   [bits] is never mutated once the database is returned. *)
+   [bits] is never mutated once the database is returned.
+   [fact_count] is the cardinal of [facts], kept so that counting them
+   is O(1). *)
 type t = {
   vocabulary : Vocabulary.t;
   names : string array;
   ranks : int Ranks.t;
   facts : Fact_set.t;
+  fact_count : int;
   bits : Bytes.t;
   pairs : int;
 }
@@ -112,6 +115,7 @@ let build vocabulary names ~facts fill =
       names;
       ranks;
       facts = Fact_set.empty;
+      fact_count = 0;
       bits = Bytes.make ((pair_count n + 7) / 8) '\000';
       pairs = 0;
     }
@@ -119,7 +123,8 @@ let build vocabulary names ~facts fill =
   List.iter (check_fact db) facts;
   let pairs = ref 0 in
   fill db (fun i j -> if set_bit db.bits (bit_index n i j) then incr pairs);
-  { db with facts = Fact_set.of_list facts; pairs = !pairs }
+  let facts = Fact_set.of_list facts in
+  { db with facts; fact_count = Fact_set.cardinal facts; pairs = !pairs }
 
 let make ~vocabulary ~facts ~distinct =
   build vocabulary
@@ -157,6 +162,7 @@ let make_interned ~names ~predicates ~facts ~distinct =
 let vocabulary db = db.vocabulary
 let constants db = Array.to_list db.names
 let facts db = Fact_set.elements db.facts
+let fact_count db = db.fact_count
 
 let facts_of db p =
   Fact_set.to_seq_from { pred = p; args = [] } db.facts
@@ -219,7 +225,10 @@ let unknown_values db = snd (partition_values db)
 
 let add_fact db fact =
   check_fact db fact;
-  { db with facts = Fact_set.add fact db.facts }
+  let facts = Fact_set.add fact db.facts in
+  (* [Fact_set.add] returns the set itself when the fact is present *)
+  if facts == db.facts then db
+  else { db with facts; fact_count = db.fact_count + 1 }
 
 let add_distinct db c d =
   let i, j = pair_ranks db c d in
@@ -238,7 +247,11 @@ let remove_fact db fact =
       (Printf.sprintf "Cw_database: fact %s(%s) is not in the database"
          fact.pred
          (String.concat ", " fact.args));
-  { db with facts = Fact_set.remove fact db.facts }
+  {
+    db with
+    facts = Fact_set.remove fact db.facts;
+    fact_count = db.fact_count - 1;
+  }
 
 let merge_constants db ~keep ~drop =
   List.iter
@@ -286,9 +299,10 @@ let merge_constants db ~keep ~drop =
       (fun f acc -> Fact_set.add { f with args = List.map subst f.args } acc)
       db.facts Fact_set.empty
   in
-  { merged with facts }
+  (* two facts may collapse into one *)
+  { merged with facts; fact_count = Fact_set.cardinal facts }
 
-let size db = Fact_set.cardinal db.facts + db.pairs + constant_count db
+let size db = db.fact_count + db.pairs + constant_count db
 
 let equal a b =
   Vocabulary.equal a.vocabulary b.vocabulary

@@ -25,6 +25,7 @@
     - {!fully_specify}: an O(n²/8) fill;
     - {!add_distinct}: O(1) when the axiom is present, else an
       O(n²/8) copy of the matrix;
+    - {!fact_count}: O(1);
     - {!facts_of}: O(log F) plus the predicate's facts;
     - {!mem_fact}, {!add_fact}, {!remove_fact}: O(log F);
     - {!make}, {!make_interned}: O(n log n + F log F + D);
@@ -82,6 +83,10 @@ val constants : t -> string list
 
 (** Atomic fact axioms, sorted. *)
 val facts : t -> fact list
+
+(** [fact_count db] is [List.length (facts db)], kept with the
+    database. *)
+val fact_count : t -> int
 
 (** [facts_of db p] is the list of argument tuples of the atomic facts
     about predicate [p], sorted. It reads [p]'s range of the fact set

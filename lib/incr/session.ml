@@ -73,11 +73,13 @@ type query_entry = {
    physically intact — the stream is bit-identical and the tree walk
    can be paid once. Keyed on physical symtab identity: a
    distinct-closure or a merge installs a new symtab and the entry
-   simply stops matching. *)
+   simply stops matching. [re_reprs = None] is a negative entry: the
+   stream is longer than the capacity, so scans stream it afresh
+   instead of forcing [capacity + 1] renamings to find that out. *)
 type ren_entry = {
   re_tab : Symtab.t;
   re_order : Certain.order;
-  re_reprs : int array array;
+  re_reprs : int array array option;
 }
 
 type t = {
@@ -130,8 +132,9 @@ let delta_epoch t = locked t (fun () -> t.view.v_delta_epoch)
 (* Fact deltas keep the symtab: inserting or retracting a fact changes
    neither the constant set nor the distinct pairs, so the codes (and
    every code array in the caches) stay valid; only the touched
-   predicate's slot epoch moves. *)
-let install_fact_delta t v db pred =
+   predicate's slot epoch moves, and [plan] is the old plan patched
+   with the one fact ([Iscan.add_fact] / [Iscan.remove_fact]). *)
+let install_fact_delta t v db plan pred =
   let tab = Iscan.symtab v.v_plan in
   let slot =
     match Symtab.rel_slot tab pred with
@@ -143,7 +146,7 @@ let install_fact_delta t v db pred =
   t.view <-
     {
       v_db = db;
-      v_plan = Iscan.prepare ~tab db;
+      v_plan = plan;
       v_tab_epoch = v.v_tab_epoch;
       v_slot_epochs = slot_epochs;
       v_delta_epoch = v.v_delta_epoch + 1;
@@ -155,17 +158,21 @@ let insert t fact =
       let v = t.view in
       (* Adding a present fact is a no-op: skip the epoch bump so warm
          caches stay warm. A present fact is valid; a new one is
-         checked by [add_fact]. *)
-      if not (Cw_database.mem_fact v.v_db fact) then
-        install_fact_delta t v
-          (Cw_database.add_fact v.v_db fact)
-          fact.Cw_database.pred)
+         checked by [add_fact] before the plan is touched. *)
+      if not (Cw_database.mem_fact v.v_db fact) then begin
+        let db = Cw_database.add_fact v.v_db fact in
+        install_fact_delta t v db
+          (Iscan.add_fact v.v_plan fact)
+          fact.Cw_database.pred
+      end)
 
 let retract t fact =
   locked t (fun () ->
       let v = t.view in
       let db = Cw_database.remove_fact v.v_db fact in
-      install_fact_delta t v db fact.Cw_database.pred)
+      install_fact_delta t v db
+        (Iscan.remove_fact v.v_plan fact)
+        fact.Cw_database.pred)
 
 let close_unknown t c d ~to_ =
   locked t (fun () ->
@@ -354,19 +361,19 @@ let cached_renamings t view order =
       t.ren_cache
   in
   match locked t find with
-  | Some e -> Some e.re_reprs
-  | None -> (
-    match
+  | Some e -> e.re_reprs
+  | None ->
+    let reprs =
       materialize_bounded (Iscan.renamings ~order view.v_plan) t.capacity
-    with
-    | None -> None
-    | Some reprs ->
-      locked t (fun () ->
-          if find () = None then
-            t.ren_cache <-
-              { re_tab = tab; re_order = order; re_reprs = reprs }
-              :: List.filteri (fun i _ -> i < 3) t.ren_cache);
-      Some reprs)
+    in
+    locked t (fun () ->
+        if Option.is_none (find ()) then begin
+          if Option.is_none reprs then Obs.count "incr.renamings_uncached" 1;
+          t.ren_cache <-
+            { re_tab = tab; re_order = order; re_reprs = reprs }
+            :: List.filteri (fun i _ -> i < 3) t.ren_cache
+        end);
+    reprs
 
 let source_for t view needed =
   let plan = view.v_plan in

@@ -56,10 +56,15 @@
 type t
 
 (** [create db] starts a session resident on [db].
-    [cache_capacity] bounds both the quotient-structure cache and each
-    per-query memo table (entries, not bytes; default [4096]); beyond
-    the bound existing entries are still served but new ones are not
-    added. [delta_epoch] (default [0]) is the epoch the session starts
+    [cache_capacity] bounds the quotient-structure cache, each
+    per-query memo table, the number of queries tracked and each
+    materialized renaming stream (entries, not bytes; default [4096]);
+    beyond the bound existing entries are still served but new ones
+    are not added. A renaming stream longer than the bound is
+    recorded once per symtab and order as a negative entry (counted
+    as [incr.renamings_uncached]); every later scan of it streams the
+    renamings afresh, without forcing [capacity + 1] of them first.
+    [delta_epoch] (default [0]) is the epoch the session starts
     at — crash recovery passes the snapshot's recorded epoch so that
     after replaying the log tail the recovered session reports the same
     delta epoch the lost process would have (outer plan caches key on
@@ -75,12 +80,18 @@ val db : t -> Vardi_cwdb.Cw_database.t
 val delta_epoch : t -> int
 
 (** [insert t fact] adds an atomic fact axiom. Inserting a fact already
-    present is a no-op (no epoch bump — caches stay warm).
+    present is a no-op (no epoch bump — caches stay warm). The view's
+    interned plan is patched with the one fact
+    ({!Vardi_interned.Iscan.add_fact}), not rebuilt: the cost is
+    O(log F) in the database's [F] facts plus O(n + s + p) for [n]
+    constants, [s] predicates and the [p] facts of [fact]'s predicate.
+    The database validates the fact before the plan is touched.
     @raise Invalid_argument on vocabulary/arity violations, as
     {!Vardi_cwdb.Cw_database.add_fact}. *)
 val insert : t -> Vardi_cwdb.Cw_database.fact -> unit
 
-(** [retract t fact] removes an atomic fact axiom.
+(** [retract t fact] removes an atomic fact axiom, at the cost of
+    {!insert} ({!Vardi_interned.Iscan.remove_fact}).
     @raise Invalid_argument if the fact is absent or invalid, as
     {!Vardi_cwdb.Cw_database.remove_fact}. *)
 val retract : t -> Vardi_cwdb.Cw_database.fact -> unit

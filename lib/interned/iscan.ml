@@ -24,8 +24,18 @@ type plan = {
 
 let mapping_cap = 1 lsl 24
 
-let prepare ?tab db =
-  let tab = match tab with Some t -> t | None -> Symtab.make db in
+(* The depth at which a fact with these codes becomes final: its
+   largest code, or -1 for a nullary fact (a root relation's). *)
+let depth codes = Array.fold_left max (-1) codes
+
+(* [groups] with [codes] filed under [slot]. *)
+let add_to_group groups slot codes =
+  match List.assoc_opt slot groups with
+  | Some rows -> (slot, codes :: rows) :: List.remove_assoc slot groups
+  | None -> (slot, [ codes ]) :: groups
+
+let prepare db =
+  let tab = Symtab.make db in
   let n = Symtab.size tab in
   let k = Symtab.rel_count tab in
   let base = Array.init k (fun s -> Irel.empty (Symtab.rel_arity tab s)) in
@@ -40,7 +50,7 @@ let prepare ?tab db =
       in
       let codes = Symtab.code_tuple tab args in
       facts_by_slot.(slot) <- codes :: facts_by_slot.(slot);
-      let d = Array.fold_left max (-1) codes in
+      let d = depth codes in
       if d < 0 then base.(slot) <- Irel.add_rows base.(slot) [ codes ]
       else raw_pending.(d) <- (slot, codes) :: raw_pending.(d))
     (Cw_database.facts db);
@@ -48,17 +58,73 @@ let prepare ?tab db =
      affected relation exactly once with a ready-made batch. *)
   let pending =
     Array.map
-      (fun bucket ->
-        List.fold_left
-          (fun groups (slot, codes) ->
-            match List.assoc_opt slot groups with
-            | Some rows ->
-              (slot, codes :: rows) :: List.remove_assoc slot groups
-            | None -> (slot, [ codes ]) :: groups)
-          [] bucket)
+      (List.fold_left
+         (fun groups (slot, codes) -> add_to_group groups slot codes)
+         [])
       raw_pending
   in
   { tab; n; base; pending; facts_by_slot }
+
+(* --- fact deltas ---------------------------------------------------- *)
+
+(* [fact]'s slot and codes under the plan's symtab. *)
+let locate plan { Cw_database.pred; args } =
+  let tab = plan.tab in
+  match Symtab.rel_slot tab pred with
+  | Some slot
+    when Symtab.rel_arity tab slot = List.length args
+         && List.for_all (fun c -> Symtab.code_opt tab c <> None) args ->
+    (slot, Symtab.code_tuple tab args)
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "Iscan: fact %s(%s) is not over the plan's vocabulary"
+         pred (String.concat ", " args))
+
+let same_row a b = Irel.compare_rows a b = 0
+
+(* A copy of [plan] whose [slot] holds [facts] and whose bucket for
+   [codes] goes through [base] (nullary facts) or [bucket]; every
+   other slot, bucket and array cell is shared with [plan], which is
+   left as it was. *)
+let patch plan slot codes facts ~base ~bucket =
+  let facts_by_slot = Array.copy plan.facts_by_slot in
+  facts_by_slot.(slot) <- facts;
+  let d = depth codes in
+  if d < 0 then begin
+    let b = Array.copy plan.base in
+    b.(slot) <- base b.(slot);
+    { plan with base = b; facts_by_slot }
+  end
+  else begin
+    let pending = Array.copy plan.pending in
+    pending.(d) <- bucket pending.(d);
+    { plan with pending; facts_by_slot }
+  end
+
+let add_fact plan fact =
+  let slot, codes = locate plan fact in
+  let facts = plan.facts_by_slot.(slot) in
+  if List.exists (same_row codes) facts then plan
+  else
+    patch plan slot codes (codes :: facts)
+      ~base:(fun rel -> Irel.add_rows rel [ codes ])
+      ~bucket:(fun groups -> add_to_group groups slot codes)
+
+let remove_fact plan fact =
+  let slot, codes = locate plan fact in
+  let facts = plan.facts_by_slot.(slot) in
+  if not (List.exists (same_row codes) facts) then
+    invalid_arg
+      (Printf.sprintf "Iscan: fact %s(%s) is not in the plan"
+         fact.Cw_database.pred
+         (String.concat ", " fact.Cw_database.args));
+  let keep rows = List.filter (fun r -> not (same_row codes r)) rows in
+  patch plan slot codes (keep facts)
+    ~base:(fun _ -> Irel.empty 0)
+    ~bucket:
+      (List.filter_map (fun (s, rows) ->
+           if s <> slot then Some (s, rows)
+           else match keep rows with [] -> None | rows -> Some (s, rows)))
 
 let symtab plan = plan.tab
 

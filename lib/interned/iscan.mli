@@ -29,14 +29,33 @@ type structure = {
 type plan
 
 (** Intern the database: build the symtab, code every fact, and bucket
-    facts by the depth at which they become final.
+    facts by the depth at which they become final. O(n² + F log F) for
+    [n] constants and [F] facts. *)
+val prepare : Vardi_cwdb.Cw_database.t -> plan
 
-    [?tab] reuses an existing symtab instead of building one — the
-    incremental session's fact-only fast path (inserting or retracting
-    a fact changes neither the constant coding nor the distinct
-    matrix). The caller is responsible for the tab actually matching
-    [db]; passing a stale tab silently miscodes facts. *)
-val prepare : ?tab:Symtab.t -> Vardi_cwdb.Cw_database.t -> plan
+(** {1 Fact deltas}
+
+    A fact changes neither the constants nor the uniqueness axioms, so
+    the symtab, and every renaming stream of the plan, outlive it.
+    [add_fact plan f] and [remove_fact plan f] code the one fact with
+    [plan]'s symtab and return a plan equal, in every structure it
+    builds, to {!prepare} of the database with [f] added or removed.
+    The new plan differs from [plan] in two places only: the fact's
+    relation slot and the bucket of the depth at which it becomes
+    final (for a nullary fact, its root relation); every other slot
+    and bucket is shared. [plan] itself is never mutated, so a scan
+    still running over it is undisturbed.
+
+    Cost: O(n + s + p) for [n] constants, [s] relation slots and [p]
+    facts of [f]'s predicate — no other fact is coded again.
+
+    [add_fact] returns [plan] itself when [f] is already in it;
+    [remove_fact] raises [Invalid_argument] when [f] is not. Both raise
+    [Invalid_argument] on a fact the symtab cannot code (undeclared
+    predicate, wrong arity, unknown constant). *)
+
+val add_fact : plan -> Vardi_cwdb.Cw_database.fact -> plan
+val remove_fact : plan -> Vardi_cwdb.Cw_database.fact -> plan
 
 val symtab : plan -> Symtab.t
 

@@ -164,7 +164,7 @@ let do_load state ~name ~path =
       [
         ("db", Json.Str name);
         ("constants", Json.Num (float_of_int (List.length (Cw_database.constants db))));
-        ("facts", Json.Num (float_of_int (List.length (Cw_database.facts db))));
+        ("facts", Json.Num (float_of_int (Cw_database.fact_count db)));
         ("durable", Json.Bool (entry.store <> None));
       ]
   | exception Ldb_format.Syntax_error (line, msg) ->
@@ -369,7 +369,7 @@ let mutation_ok ~db_name entry =
     [
       ("db", Json.Str db_name);
       ("delta", Json.Num (float_of_int (Session.delta_epoch session)));
-      ("facts", Json.Num (float_of_int (List.length (Cw_database.facts db))));
+      ("facts", Json.Num (float_of_int (Cw_database.fact_count db)));
       ( "constants",
         Json.Num (float_of_int (List.length (Cw_database.constants db))) );
       (* the durability promise this very ack carries: [true] means the

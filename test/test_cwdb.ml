@@ -534,6 +534,7 @@ let model_mismatch db m =
         = List.length m.m_facts + List.length m.m_pairs
           + List.length m.m_constants );
       ("facts", facts (Cw_database.facts db) = m.m_facts);
+      ("fact_count", Cw_database.fact_count db = List.length m.m_facts);
       ( "facts_of",
         List.for_all
           (fun p ->

@@ -193,6 +193,67 @@ let test_prepared_snapshot () =
     (tuples (Certain.answer (Session.db s) q_r))
     (session_answer s q_r)
 
+(* --- a renaming stream longer than the cache ---------------------------- *)
+
+(* Three constants and no uniqueness axioms give five partitions, more
+   than a two-entry cache holds. The first scan of each order records
+   that once; later scans, across a fact delta too (it keeps the
+   symtab), stream the renamings without forcing [capacity + 1] of them
+   first. Streaming must move nothing: answers equal the reference's,
+   and every structure cap trips where it trips a fresh prepared
+   query. *)
+let test_overlong_stream () =
+  let s = Session.create ~cache_capacity:2 (base_db ()) in
+  let toggle = fact "R" [ "b"; "c" ] in
+  let uncached f =
+    let buf = Obs.buffer () in
+    Obs.with_sink (Obs.buffer_sink buf) f;
+    Option.value ~default:0
+      (List.assoc_opt "incr.renamings_uncached"
+         (Obs.counter_totals (Obs.events buf)))
+  in
+  let trips order p =
+    List.map
+      (fun cap ->
+        let cancel = Cancel.create ~max_structures:cap () in
+        let r, st = Certain.prepared_answer_stats ~order ~cancel p in
+        (tuples r, st.Certain.structures, st.Certain.interrupted <> None))
+      [ 1; 2; 3; 4; 5 ]
+  in
+  List.iter
+    (fun (order, name) ->
+      let recorded =
+        uncached (fun () ->
+            for scan = 1 to 3 do
+              if scan = 2 then
+                if Cw_database.mem_fact (Session.db s) toggle then
+                  Session.retract s toggle
+                else Session.insert s toggle;
+              let db = Session.db s in
+              let label what =
+                Printf.sprintf "%s, scan %d: %s" name scan what
+              in
+              Alcotest.(check (list (list string)))
+                (label "answer")
+                (tuples (Fuzz_reference.answer db q_r))
+                (tuples
+                   (fst
+                      (Certain.prepared_answer_stats ~order
+                         (Session.prepare s q_r))));
+              Alcotest.(check (list (triple (list (list string)) int bool)))
+                (label "structure caps trip as a fresh scan's")
+                (trips order (Certain.prepare db q_r))
+                (trips order (Session.prepare s q_r))
+            done)
+      in
+      Alcotest.(check int)
+        (name ^ ": the uncached stream is recorded once")
+        1 recorded)
+    [
+      (Certain.Fresh_first, "Fresh_first");
+      (Certain.Merge_first, "Merge_first");
+    ]
+
 let suite =
   [
     Alcotest.test_case "mutations keep parity with the fresh engine" `Quick
@@ -204,4 +265,6 @@ let suite =
     Alcotest.test_case "merge resets caches" `Quick test_merge_resets;
     Alcotest.test_case "prepared queries snapshot their view" `Quick
       test_prepared_snapshot;
+    Alcotest.test_case "over-long stream streams once per view" `Quick
+      test_overlong_stream;
   ]

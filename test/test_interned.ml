@@ -373,6 +373,120 @@ let test_mapping_cap_parity () =
     (trip (fun () -> Fuzz_reference.certain_boolean ~algorithm db query))
     (trip (fun () -> Certain.certain_boolean ~algorithm db query))
 
+(* --- fact deltas patch the plan ----------------------------------------- *)
+
+(* No session reads a plan's depth buckets or root relations (sessions
+   build structures with [image] and [image_slot]), so a patch that
+   broke them would pass every session oracle: compare a patched plan
+   with a fresh [prepare], structure by structure, under both orders. *)
+
+type fact_op =
+  | Insert of Cw_database.fact
+  | Retract of int  (* index into the current facts *)
+
+let show_fact f =
+  Printf.sprintf "%s(%s)" f.Cw_database.pred (String.concat ", " f.args)
+
+let print_patch_case (constants, facts, distinct, ops) =
+  Printf.sprintf "constants %s; facts %s; distinct %s; ops %s"
+    (String.concat " " constants)
+    (String.concat " " (List.map show_fact facts))
+    (String.concat " " (List.map (fun (c, d) -> c ^ "/" ^ d) distinct))
+    (String.concat "; "
+       (List.map
+          (function
+            | Insert f -> "insert " ^ show_fact f
+            | Retract i -> Printf.sprintf "retract #%d" i)
+          ops))
+
+(* The nullary [Z] lives in the root relations; [P(c0)], whose largest
+   code is 0, in the first depth bucket. *)
+let gen_patch_case =
+  let open QCheck2.Gen in
+  let* n = int_range 1 4 in
+  let constants = List.init n (Printf.sprintf "c%d") in
+  let c = oneofl constants in
+  let fact =
+    oneof
+      [
+        return { Cw_database.pred = "Z"; args = [] };
+        map (fun a -> { Cw_database.pred = "P"; args = [ a ] }) c;
+        map2 (fun a b -> { Cw_database.pred = "R"; args = [ a; b ] }) c c;
+      ]
+  in
+  let* facts = list_size (int_bound 5) fact in
+  let* distinct = list_size (int_bound 3) (pair c c) in
+  let* ops =
+    list_size (int_range 1 12)
+      (oneof [ map (fun f -> Insert f) fact; map (fun i -> Retract i) nat ])
+  in
+  return
+    ( constants,
+      { Cw_database.pred = "Z"; args = [] }
+      :: { Cw_database.pred = "P"; args = [ "c0" ] }
+      :: facts,
+      List.filter (fun (a, b) -> a <> b) distinct,
+      ops )
+
+let same_structure (a : Iscan.structure) (b : Iscan.structure) =
+  a.rename = b.rename
+  && a.idb.Idb.universe = b.idb.Idb.universe
+  && Array.length a.idb.Idb.rels = Array.length b.idb.Idb.rels
+  && Array.for_all2 Irel.equal a.idb.Idb.rels b.idb.Idb.rels
+
+(* Where [patched] builds a structure other than [fresh] does. *)
+let plan_mismatch patched fresh =
+  let stream order plan =
+    Iscan.structure_thunks ~order plan
+    |> Seq.map (fun th -> th ())
+    |> List.of_seq
+  in
+  let same_stream order =
+    List.equal same_structure (stream order patched) (stream order fresh)
+  in
+  [
+    ("Fresh_first stream", same_stream Partition.Fresh_first);
+    ("Merge_first stream", same_stream Partition.Merge_first);
+    ("discrete", same_structure (Iscan.discrete patched) (Iscan.discrete fresh));
+    ( "image",
+      Seq.for_all
+        (fun r -> same_structure (Iscan.image patched r) (Iscan.image fresh r))
+        (Iscan.renamings fresh) );
+  ]
+  |> List.find_map (fun (what, ok) -> if ok then None else Some what)
+
+let fact_patch_matches_prepare =
+  QCheck2.Test.make ~count:300 ~name:"fact patch = fresh prepare"
+    ~print:print_patch_case gen_patch_case
+    (fun (constants, facts, distinct, ops) ->
+      let db0 =
+        Cw_database.make
+          ~vocabulary:
+            (Vocabulary.make ~constants
+               ~predicates:[ ("P", 1); ("R", 2); ("Z", 0) ])
+          ~facts ~distinct
+      in
+      let plan0 = Iscan.prepare db0 in
+      let step (db, plan) = function
+        | Insert f -> (Cw_database.add_fact db f, Iscan.add_fact plan f)
+        | Retract i -> (
+          match Cw_database.facts db with
+          | [] -> (db, plan)
+          | fs ->
+            let f = List.nth fs (i mod List.length fs) in
+            (Cw_database.remove_fact db f, Iscan.remove_fact plan f))
+      in
+      let db, plan = List.fold_left step (db0, plan0) ops in
+      match
+        ( plan_mismatch plan (Iscan.prepare db),
+          plan_mismatch plan0 (Iscan.prepare db0) )
+      with
+      | Some what, _ ->
+        QCheck2.Test.fail_reportf "patched plan: %s differs" what
+      | None, Some what ->
+        QCheck2.Test.fail_reportf "the original plan changed: %s differs" what
+      | None, None -> true)
+
 let suite =
   [
     Support.qcheck_case irel_matches_list_model;
@@ -397,4 +511,5 @@ let suite =
       test_budget_positional_parity;
     Alcotest.test_case "naive-mapping cap parity" `Quick
       test_mapping_cap_parity;
+    Support.qcheck_case fact_patch_matches_prepare;
   ]
