@@ -59,8 +59,6 @@ let micro_tests () =
       (stage (fun () -> Certain.answer db_small q));
     Test.make ~name:"e1/exact-medium"
       (stage (fun () -> Certain.answer db_medium q));
-    Test.make ~name:"e1/exact-medium-par4"
-      (stage (fun () -> Certain.answer ~domains:4 db_medium q));
     Test.make ~name:"e2/precise-simulation"
       (stage (fun () -> Precise.answer db_tiny Workloads.positive_query));
     Test.make ~name:"e3/three-colorability"
@@ -123,7 +121,7 @@ let micro_tests () =
                Certain.answer db_medium q)));
     (* Cancellation overhead on the same hot path. The first entry
        threads a token whose generous limits never trip (but whose
-       deadline check runs per chunk and whose caps truncate the
+       deadline check runs per structure and whose caps truncate the
        stream positionally); the second goes through the full
        Resilient layer with an equally generous budget. Both must sit
        within the noise floor of e1/exact-medium (acceptance: < 3%,
@@ -907,7 +905,7 @@ let phase_breakdown () =
   ignore (Certain.answer db_medium q) (* warm-up: plan + minor heap *);
   let buf = Obs.buffer () in
   Obs.with_sink (Obs.buffer_sink buf) (fun () ->
-      ignore (Certain.answer ~domains:4 db_medium q));
+      ignore (Certain.answer db_medium q));
   let evs = Obs.events buf in
   Obs.pp_spans Fmt.stdout evs;
   Obs.pp_counters Fmt.stdout evs

@@ -206,12 +206,6 @@ let explain_arg =
   in
   Arg.(value & flag & info [ "explain" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Worker domains for the exact/possible engines (1 = sequential)."
-  in
-  Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N" ~doc)
-
 let stats_arg =
   let doc =
     "Print structure/evaluation counters, pruning and wall time after the \
@@ -272,11 +266,10 @@ let metrics_arg =
 let print_stats stats =
   Fmt.pr
     "structures: %d  evaluations: %d  early exit: %b  pruned candidates: %d  \
-     wall: %.1f ms  domains: %d@."
+     wall: %.1f ms@."
     stats.Certain.structures stats.Certain.evaluations
     stats.Certain.early_exit stats.Certain.pruned_candidates
     (Int64.to_float stats.Certain.wall_ns /. 1e6)
-    stats.Certain.domains_used
 
 (* Run [f] with whatever sinks --trace / --metrics ask for, then render
    the buffered output. The console trace already includes the counter
@@ -391,14 +384,14 @@ let print_qualified_note = function
     Fmt.pr "(upper bound: unrefuted survivors of the interrupted scan)@."
   | Resilient.Exhausted -> ()
 
-let run_resilient db q ~policy ~algorithm ~domains ~stats ~budget =
+let run_resilient db q ~policy ~algorithm ~stats ~budget =
   let exhausted () =
     Fmt.epr "budget exhausted (%s)@." (Budget.to_string budget);
     124
   in
   if Query.is_boolean q then begin
     let result, rstats =
-      Resilient.boolean_stats ~policy ~algorithm ~domains ~budget db q
+      Resilient.boolean_stats ~policy ~algorithm ~budget db q
     in
     let status =
       match result with
@@ -414,7 +407,7 @@ let run_resilient db q ~policy ~algorithm ~domains ~stats ~budget =
   end
   else begin
     let result, rstats =
-      Resilient.answer_stats ~policy ~algorithm ~domains ~budget db q
+      Resilient.answer_stats ~policy ~algorithm ~budget db q
     in
     let status =
       match result with
@@ -462,7 +455,7 @@ let print_plan db q engine =
 
 let query_cmd =
   let run path query_text engine algorithm (_ : Certain.kernel) backend
-      explain domains stats trace metrics timeout max_structures
+      explain stats trace metrics timeout max_structures
       max_evaluations policy =
     let status = ref 0 in
     handle (fun () ->
@@ -496,21 +489,18 @@ let query_cmd =
                possible engines take no budget)@.";
             exit 2
           end;
-          status :=
-            run_resilient db q ~policy ~algorithm ~domains ~stats ~budget
+          status := run_resilient db q ~policy ~algorithm ~stats ~budget
         end
         else begin
         if Query.is_boolean q then begin
           let verdict, counters =
             match engine with
             | Exact ->
-              let v, s = Certain.certain_boolean_stats ~algorithm ~domains db q in
+              let v, s = Certain.certain_boolean_stats ~algorithm db q in
               (v, Some s)
             | Approximate -> (Approx.boolean db q, None)
             | Possible ->
-              let v, s =
-                Certain.possible_boolean_stats ~algorithm ~domains db q
-              in
+              let v, s = Certain.possible_boolean_stats ~algorithm db q in
               (v, Some s)
           in
           Fmt.pr "%b@." verdict;
@@ -521,13 +511,11 @@ let query_cmd =
           let answer, counters =
             match engine with
             | Exact ->
-              let r, s = Certain.answer_stats ~algorithm ~domains db q in
+              let r, s = Certain.answer_stats ~algorithm db q in
               (r, Some s)
             | Approximate -> (Approx.answer ~backend db q, None)
             | Possible ->
-              let r, s =
-                Certain.possible_answer_stats ~algorithm ~domains db q
-              in
+              let r, s = Certain.possible_answer_stats ~algorithm db q in
               (r, Some s)
           in
           print_relation answer;
@@ -554,7 +542,7 @@ let query_cmd =
     (Cmd.info "query" ~doc)
     Cterm.(
       const run $ db_arg $ query_arg $ engine_arg $ algorithm_arg
-      $ kernel_arg $ backend_arg $ explain_arg $ domains_arg $ stats_arg
+      $ kernel_arg $ backend_arg $ explain_arg $ stats_arg
       $ trace_arg $ metrics_arg $ timeout_arg $ max_structures_arg
       $ max_evaluations_arg $ policy_arg)
 
@@ -688,7 +676,7 @@ let fuzz_cmd =
   in
   let faults_arg =
     let doc =
-      "Arm seeded fault injection per instance (worker-chunk kills, raising \
+      "Arm seeded fault injection per instance (scan kills, raising \
        observability sinks) and run the resilience-safety oracle: no \
        injected exception may escape a degrading policy, and the \
        qualified-answer bounds must hold under fire."
@@ -704,7 +692,7 @@ let fuzz_cmd =
     Arg.(value & opt int 0 & info [ "min-acq-detected" ] ~docv:"N" ~doc)
   in
   let run seed count max_depth unknown_density noise replay corpus_dir
-      no_shrink no_typed faults min_acq_detected domains trace metrics =
+      no_shrink no_typed faults min_acq_detected trace metrics =
     handle (fun () ->
         with_observability ~trace ~metrics (fun () ->
             Fuzz_oracle.reset_acq_detection ();
@@ -718,7 +706,7 @@ let fuzz_cmd =
                 Fmt.epr "no .fuzz cases under %s@." path;
                 exit 2
               end;
-              let violations = Fuzz.replay ~domains cases in
+              let violations = Fuzz.replay cases in
               if violations = [] then
                 Fmt.pr "replayed %d case(s), no oracle violations@."
                   (List.length cases)
@@ -734,7 +722,6 @@ let fuzz_cmd =
                 {
                   Fuzz.seed;
                   count;
-                  domains;
                   noise;
                   typed = not no_typed;
                   shrink = not no_shrink;
@@ -778,7 +765,7 @@ let fuzz_cmd =
   let doc =
     "Differential fuzzing of the engines with theorem-level oracles: random \
      (LB, Q) instances run through the exact engine (both algorithms and \
-     orderings, sequential and parallel), the Section 5 approximation (all \
+     orderings), the Section 5 approximation (all \
      back ends), and the naive-tables baseline, checking Theorem 11 \
      soundness, Theorem 12/13 completeness, modal duality and parse/print \
      round-trips. Failures are greedily shrunk. Exit status 1 on any \
@@ -789,8 +776,7 @@ let fuzz_cmd =
     Cterm.(
       const run $ seed_arg $ count_arg $ max_depth_arg $ unknown_density_arg
       $ noise_arg $ replay_arg $ corpus_dir_arg $ no_shrink_arg $ no_typed_arg
-      $ faults_arg $ min_acq_detected_arg $ domains_arg $ trace_arg
-      $ metrics_arg)
+      $ faults_arg $ min_acq_detected_arg $ trace_arg $ metrics_arg)
 
 (* --- repl --- *)
 

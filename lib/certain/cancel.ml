@@ -1,7 +1,7 @@
 (* Cooperative cancellation token for the structure scan. See the .mli
    for the determinism contract: caps truncate the stream by position
-   (exact, schedule-independent), the deadline halts cooperatively
-   (prompt, wall-clock dependent). *)
+   (exact), the deadline halts cooperatively (prompt, wall-clock
+   dependent). *)
 
 type reason =
   | Deadline
@@ -20,7 +20,7 @@ type t = {
   max_structures : int option;
   max_evaluations : int option;
   probe : (unit -> unit) option;
-  state : reason option Atomic.t;
+  mutable state : reason option;
 }
 
 let create ?deadline_ns ?max_structures ?max_evaluations ?probe () =
@@ -31,14 +31,14 @@ let create ?deadline_ns ?max_structures ?max_evaluations ?probe () =
   in
   positive "max_structures" max_structures;
   positive "max_evaluations" max_evaluations;
-  { deadline_ns; max_structures; max_evaluations; probe; state = Atomic.make None }
+  { deadline_ns; max_structures; max_evaluations; probe; state = None }
 
 let unlimited () = create ()
 
-let tripped t = Atomic.get t.state
+let tripped t = t.state
 
-(* First reason wins; losing the race means someone else recorded one. *)
-let trip t reason = ignore (Atomic.compare_and_set t.state None (Some reason))
+(* First reason wins. *)
+let trip t reason = if t.state = None then t.state <- Some reason
 
 let check t =
   (match t.probe with Some f -> f () | None -> ());

@@ -12,17 +12,16 @@
 
     - The structure and evaluation caps truncate the structure stream
       {e by position} — the scan examines exactly the first [cap]
-      structures of the enumeration order and no others, in every
-      schedule. The same seed, budget, algorithm and order therefore
-      yield the same verdict and the same [structures] stat whether the
-      scan runs on 1 domain or 8: a decision (countermodel, witness,
-      emptied survivor set) present in the admitted prefix is found by
-      every schedule, and a budget trip means the whole prefix was
-      examined.
-    - The deadline is checked before each structure in every worker
-      domain, so all OCaml 5 domains stop within one structure
-      evaluation of the deadline passing. Deadline trips are inherently
-      wall-clock dependent and make no determinism promise.
+      structures of the enumeration order and no others. The same
+      database, query, budget, algorithm and order therefore yield the
+      same verdict and the same [structures] stat on every run: a
+      decision (countermodel, witness, emptied survivor set) present
+      in the admitted prefix is always found, and a budget trip means
+      the whole prefix was examined.
+    - The deadline is checked before each structure, so the scan stops
+      within one structure evaluation of the deadline passing.
+      Deadline trips are inherently wall-clock dependent and make no
+      determinism promise.
 
     A trip never raises and never discards the machinery's invariants;
     the entry point returns normally with
@@ -52,10 +51,10 @@ type t
     points; must be positive.
     @param max_evaluations cap on query evaluations, likewise
     including the seed; must be positive.
-    @param probe called once per cooperative check, in whichever worker
-    domain performs it — the fault-injection hook
+    @param probe called once per cooperative check, before each
+    structure — the fault-injection hook
     ([Vardi_resilience.Faults.probe]); an exception it raises aborts
-    the scan like any other worker failure.
+    the scan and propagates out of the entry point.
     @raise Invalid_argument on a non-positive cap. *)
 val create :
   ?deadline_ns:int64 ->
@@ -73,7 +72,8 @@ val unlimited : unit -> t
 val tripped : t -> reason option
 
 (** [trip t reason] records [reason] unless the token already tripped.
-    Idempotent and safe from any domain. *)
+    Idempotent. A token belongs to one scan: it is not meant to be
+    shared between domains. *)
 val trip : t -> reason -> unit
 
 (** [check t] runs the probe (if any), then trips and returns [true]

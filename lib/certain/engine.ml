@@ -29,7 +29,6 @@ type stats = {
   early_exit : bool;
   pruned_candidates : int;
   wall_ns : int64;
-  domains_used : int;
   interrupted : Cancel.reason option;
 }
 
@@ -41,11 +40,15 @@ let validate_tuple = Vardi_cwdb.Query_check.validate_tuple
    under clock adjustment. *)
 let now_ns = Obs.now_ns
 
-(* The structure stream is handed out as construction thunks: the
-   enumeration step (next partition / next mapping) runs in the
-   scheduler's critical section, while the quotient / image-database
-   construction — the expensive part — runs in whichever worker domain
-   claimed the item (see Iscan). *)
+(* The structure stream is handed out as construction thunks: forcing
+   the sequence runs only the enumeration step (next partition / next
+   mapping), and the quotient / image-database construction — the
+   expensive part — waits in the thunk until the scan consumes the
+   structure. That is what lets a positional budget cap force the
+   stream one step past the cap, to learn whether work remained,
+   without building a quotient (see [admit_within]), and lets a
+   session substitute cached structures for stream positions (see
+   Iscan). *)
 let plan_thunks algorithm order plan =
   match algorithm with
   | Naive_mappings -> Iscan.mapping_thunks plan
@@ -55,7 +58,7 @@ let plan_thunks algorithm order plan =
    things from a plan: its symtab, its structure stream per (algorithm,
    order), and its discrete seed — so they are bundled here, letting an
    incremental session substitute cached structures for stream
-   positions (see Vardi_incr.Session) while the engine's scheduling,
+   positions (see Vardi_incr.Session) while the engine's scan loop,
    budget and stats machinery stays oblivious. The positional contract
    carries over: [source_thunks alg ord] must enumerate the same
    renaming at every position as the fresh plan's stream would. *)
@@ -90,13 +93,13 @@ let rest_after_discrete algorithm order thunks =
 
 (* The structure/evaluation caps of a cancellation token truncate the
    structure stream *by position*: the scan admits exactly the first
-   [cap] structures of the enumeration order, in every schedule, and
-   the token trips only when the enumeration would have continued past
-   the cap. Cap trips therefore never halt the in-flight prefix — that
-   is what makes the capped verdict and the [structures] stat
-   deterministic across worker-domain counts (see Cancel). [spent] is
-   the work already charged to the budget before the scan starts (the
-   discrete-structure seed of the whole-answer entry points). *)
+   [cap] structures of the enumeration order, and the token trips only
+   when the enumeration would have continued past the cap. Cap trips
+   therefore never halt the admitted prefix — that is what makes the
+   capped verdict and the [structures] stat deterministic (see
+   Cancel). [spent] is the work already charged to the budget before
+   the scan starts (the discrete-structure seed of the whole-answer
+   entry points). *)
 let admit_within cancel ~structures ~evaluations thunks =
   match cancel with
   | None -> thunks
@@ -121,10 +124,9 @@ let admit_within cancel ~structures ~evaluations thunks =
       in
       admit cap thunks)
 
-(* Deadline cooperation: checked before every structure in whichever
-   domain is about to pay for it, so all workers stop within one
-   structure evaluation of the deadline passing. Also the
-   fault-injection hook — Cancel.check runs the token's probe. *)
+(* Deadline cooperation: checked before every structure, so the scan
+   stops within one structure evaluation of the deadline passing. Also
+   the fault-injection hook — Cancel.check runs the token's probe. *)
 let deadline_passed = function
   | None -> false
   | Some token -> Cancel.check token
@@ -137,121 +139,45 @@ let interruption cancel ~decided =
   | Some token when not decided -> Cancel.tripped token
   | Some _ | None -> None
 
-(* --- parallel scheduler ------------------------------------------- *)
+(* --- the scan ------------------------------------------------------ *)
 
-(* Worker-domain count: the caller's [?domains] is a cap on
-   [Domain.recommended_domain_count]. An explicit request above 1 is
-   always honored with at least two real domains so the parallel path
-   stays exercised (and testable) on single-core hosts. *)
-let worker_count requested =
-  if requested <= 1 then 1
-  else min requested (max 2 (Domain.recommended_domain_count ()))
-
-let chunk_size = 8
-
-type 'a puller = {
-  lock : Mutex.t;
-  mutable source : 'a Seq.t;
-}
-
-let puller seq = { lock = Mutex.create (); source = seq }
-
-(* Claim up to [chunk_size] items (order within a chunk is
-   irrelevant — every consumer is commutative). Forcing the sequence
-   happens only here, under the lock, so the enumerator state is never
-   raced. *)
-let next_chunk p =
-  Mutex.lock p.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock p.lock)
-    (fun () ->
-      let rec take n acc seq =
-        if n = 0 then (acc, seq)
+(* Feed [consume] every structure of [thunks], in stream order, until
+   [stop] reports the computation decided or the deadline passes — both
+   checked before each structure. Returns the number of structures
+   examined. The whole loop is one [certain.scan] span, and its
+   structure and evaluation counters are emitted once, when the loop
+   ends. *)
+let drive ~cancel ~stop consume thunks =
+  Obs.span "certain.scan" (fun () ->
+      let rec loop examined seq =
+        if stop () || deadline_passed cancel then examined
         else
           match seq () with
-          | Seq.Nil -> (acc, Seq.empty)
-          | Seq.Cons (x, rest) -> take (n - 1) (x :: acc) rest
+          | Seq.Nil -> examined
+          | Seq.Cons (thunk, rest) ->
+            consume (thunk ());
+            loop (examined + 1) rest
       in
-      let chunk, rest = take chunk_size [] p.source in
-      p.source <- rest;
-      chunk)
-
-(* Drive [consume] over every thunk of [thunks] across worker domains,
-   stopping as soon as [stop] reports the computation decided. Returns
-   the number of structures examined. The first worker exception is
-   re-raised in the calling domain. *)
-let drive ~domains ~cancel ~stop consume thunks =
-  let workers = worker_count domains in
-  let examined = Atomic.make 0 in
-  let failure = Atomic.make None in
-  let p = puller thunks in
-  (* Captured on the calling domain so the chunk spans of spawned
-     workers (whose own span stack is empty) nest under the entry
-     point's span rather than floating as roots. *)
-  let scan_span = Obs.current_span_id () in
-  let halted () =
-    stop () || Atomic.get failure <> None || deadline_passed cancel
-  in
-  let rec drain () =
-    if not (halted ()) then
-      match next_chunk p with
-      | [] -> ()
-      | chunk ->
-        (* One span per claimed chunk, opened in the worker domain that
-           processes it; the per-chunk counters make the engine's work
-           attributable per domain without any hot-loop cost when no
-           sink is installed. *)
-        Obs.span ?parent:scan_span "certain.chunk" (fun () ->
-            let processed = ref 0 in
-            List.iter
-              (fun thunk ->
-                if not (halted ()) then begin
-                  Atomic.incr examined;
-                  incr processed;
-                  consume (thunk ())
-                end)
-              chunk;
-            if Obs.enabled () && !processed > 0 then begin
-              Obs.count "certain.structures" !processed;
-              Obs.count "certain.evaluations" !processed
-            end);
-        drain ()
-  in
-  (* An interrupt must win over a parked worker fault (Ctrl-C is never
-     mistaken for a scan failure), and any other exception only fills
-     an empty slot so the first fault is the one re-raised. *)
-  let park = function
-    | Sys.Break -> Atomic.set failure (Some Sys.Break)
-    | e -> ignore (Atomic.compare_and_set failure None (Some e))
-  in
-  let guarded () = try drain () with e -> park e in
-  (* Spawn/join edges go through the shared SIGINT-masked helper
-     (Domain_guard): the drain in between stays interruptible, and any
-     exception is parked, which flips [halted] so workers stop at
-     their next poll and the joins are short. *)
-  let spawned =
-    if workers > 1 then Domain_guard.spawn_list ~park (workers - 1) guarded
-    else []
-  in
-  (try guarded () with e -> park e);
-  if spawned <> [] then Domain_guard.join_list ~park spawned;
-  (match Atomic.get failure with Some e -> raise e | None -> ());
-  Atomic.get examined
+      let examined = loop 0 thunks in
+      if examined > 0 then begin
+        Obs.count "certain.structures" examined;
+        Obs.count "certain.evaluations" examined
+      end;
+      examined)
 
 (* Quantification over structures: search for one whose [check] equals
    [target] ([target = false] refutes a universal, [target = true]
-   witnesses an existential), with an atomic early-exit flag shared by
-   all workers. *)
-let search ~domains ~cancel ~target thunks check =
+   witnesses an existential), stopping at the first. *)
+let search ~cancel ~target thunks check =
   let started = now_ns () in
-  let found = Atomic.make false in
+  let found = ref false in
   let examined =
-    drive ~domains ~cancel
-      ~stop:(fun () -> Atomic.get found)
-      (fun s -> if Bool.equal (check s) target then Atomic.set found true)
+    drive ~cancel
+      ~stop:(fun () -> !found)
+      (fun s -> if Bool.equal (check s) target then found := true)
       (admit_within cancel ~structures:0 ~evaluations:0 thunks)
   in
-  let found = Atomic.get found in
+  let found = !found in
   Obs.count "certain.early_exit" (if found then 1 else 0);
   ( found,
     {
@@ -260,7 +186,6 @@ let search ~domains ~cancel ~target thunks check =
       early_exit = found;
       pruned_candidates = 0;
       wall_ns = Int64.sub (now_ns ()) started;
-      domains_used = worker_count domains;
       interrupted = interruption cancel ~decided:found;
     } )
 
@@ -274,81 +199,79 @@ let search ~domains ~cancel ~target thunks check =
    check (a session's per-query memo); the wrapper sees the same
    structures at the same positions, so stats and positional caps are
    unchanged whether or not it hits. *)
-let decide_member ~target ~algorithm ~order ~domains ~cancel lb q tuple =
+let decide_member ~target ~algorithm ~order ~cancel lb q tuple =
   let plan = Iscan.prepare lb in
   let tab = Iscan.symtab plan in
   let codes = Symtab.code_tuple tab tuple in
   let cm = Icode.compile_member tab q in
-  search ~domains ~cancel ~target
+  search ~cancel ~target
     (plan_thunks algorithm order plan)
     (fun (s : Iscan.structure) ->
       Icode.run_member s.idb cm (rename_row s.rename codes))
 
-let decide_boolean ~target ~algorithm ~order ~domains ~cancel ?wrap_check
-    source body =
+let decide_boolean ~target ~algorithm ~order ~cancel ?wrap_check source body =
   let cs = Icode.compile_sentence (Iscan.symtab source.source_plan) body in
   let check (s : Iscan.structure) = Icode.run_sentence s.idb cs in
   let check = match wrap_check with Some w -> w check | None -> check in
-  search ~domains ~cancel ~target (source.source_thunks algorithm order) check
+  search ~cancel ~target (source.source_thunks algorithm order) check
 
 let certain_member_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel lb q tuple =
+    ?(order = Fresh_first) ?cancel lb q tuple =
   validate lb q;
   validate_tuple lb q tuple;
   if Query.is_boolean q then
     invalid_arg "Certain.certain_member: Boolean query; use certain_boolean";
   Obs.span "certain.member" (fun () ->
       let refuted, stats =
-        decide_member ~target:false ~algorithm ~order ~domains ~cancel lb q
-          tuple
+        decide_member ~target:false ~algorithm ~order ~cancel lb q tuple
       in
       (not refuted, stats))
 
-let certain_member ?algorithm ?order ?domains ?cancel lb q tuple =
-  fst (certain_member_stats ?algorithm ?order ?domains ?cancel lb q tuple)
+let certain_member ?algorithm ?order ?cancel lb q tuple =
+  fst (certain_member_stats ?algorithm ?order ?cancel lb q tuple)
 
 let certain_boolean_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel lb q =
+    ?(order = Fresh_first) ?cancel lb q =
   validate lb q;
   if not (Query.is_boolean q) then
     invalid_arg "Certain.certain_boolean: the query has answer variables";
   let body = Query.body q in
   Obs.span "certain.boolean" (fun () ->
       let refuted, stats =
-        decide_boolean ~target:false ~algorithm ~order ~domains ~cancel
+        decide_boolean ~target:false ~algorithm ~order ~cancel
           (source_of_plan (Iscan.prepare lb))
           body
       in
       (not refuted, stats))
 
-let certain_boolean ?algorithm ?order ?domains ?cancel lb q =
-  fst (certain_boolean_stats ?algorithm ?order ?domains ?cancel lb q)
+let certain_boolean ?algorithm ?order ?cancel lb q =
+  fst (certain_boolean_stats ?algorithm ?order ?cancel lb q)
 
 let possible_member_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel lb q tuple =
+    ?(order = Fresh_first) ?cancel lb q tuple =
   validate lb q;
   validate_tuple lb q tuple;
   if Query.is_boolean q then
     invalid_arg "Certain.possible_member: Boolean query; use possible_boolean";
   Obs.span "certain.possible_member" (fun () ->
-      decide_member ~target:true ~algorithm ~order ~domains ~cancel lb q tuple)
+      decide_member ~target:true ~algorithm ~order ~cancel lb q tuple)
 
-let possible_member ?algorithm ?order ?domains ?cancel lb q tuple =
-  fst (possible_member_stats ?algorithm ?order ?domains ?cancel lb q tuple)
+let possible_member ?algorithm ?order ?cancel lb q tuple =
+  fst (possible_member_stats ?algorithm ?order ?cancel lb q tuple)
 
 let possible_boolean_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel lb q =
+    ?(order = Fresh_first) ?cancel lb q =
   validate lb q;
   if not (Query.is_boolean q) then
     invalid_arg "Certain.possible_boolean: the query has answer variables";
   let body = Query.body q in
   Obs.span "certain.possible_boolean" (fun () ->
-      decide_boolean ~target:true ~algorithm ~order ~domains ~cancel
+      decide_boolean ~target:true ~algorithm ~order ~cancel
         (source_of_plan (Iscan.prepare lb))
         body)
 
-let possible_boolean ?algorithm ?order ?domains ?cancel lb q =
-  fst (possible_boolean_stats ?algorithm ?order ?domains ?cancel lb q)
+let possible_boolean ?algorithm ?order ?cancel lb q =
+  fst (possible_boolean_stats ?algorithm ?order ?cancel lb q)
 
 (* --- whole-answer entry points ------------------------------------ *)
 
@@ -403,7 +326,7 @@ let seed_of ~radix q source image_answer =
 (* [prep] yields the structure source and the per-structure answer
    function — built fresh for a direct call, taken from a prepared
    query otherwise — inside the [certain.prepare] span. *)
-let answer_scan ~algorithm ~order ~domains ~cancel ~prep lb q =
+let answer_scan ~algorithm ~order ~cancel ~prep lb q =
   let started = now_ns () in
   let source, image_answer = Obs.span "certain.prepare" prep in
   (* Pruning: the certain answer is contained in the answer over every
@@ -414,34 +337,23 @@ let answer_scan ~algorithm ~order ~domains ~cancel ~prep lb q =
   let seed = seed_of ~radix q source image_answer in
   let pruned = candidate_count lb (Query.arity q) - Irel.cardinal seed in
   Obs.count "certain.pruned" pruned;
-  let survivors = Atomic.make seed in
-  let remove doomed =
-    let rec loop () =
-      let cur = Atomic.get survivors in
-      let next = Irel.diff cur doomed in
-      if not (Atomic.compare_and_set survivors cur next) then loop ()
-    in
-    loop ()
-  in
+  let survivors = ref seed in
   let consume (s : Iscan.structure) =
     let ia = image_answer s in
-    let snapshot = Atomic.get survivors in
-    let doomed =
+    survivors :=
       Irel.filter
-        (fun row -> not (Icode.mem ~radix ia ~rename:s.rename row))
-        snapshot
-    in
-    if not (Irel.is_empty doomed) then remove doomed
+        (fun row -> Icode.mem ~radix ia ~rename:s.rename row)
+        !survivors
   in
   let examined =
-    drive ~domains ~cancel
-      ~stop:(fun () -> Irel.is_empty (Atomic.get survivors))
+    drive ~cancel
+      ~stop:(fun () -> Irel.is_empty !survivors)
       consume
       (admit_within cancel ~structures:1 ~evaluations:1
          (rest_after_discrete algorithm order
             (source.source_thunks algorithm order)))
   in
-  let result = Atomic.get survivors in
+  let result = !survivors in
   let early = Irel.is_empty result in
   Obs.count "certain.early_exit" (if early then 1 else 0);
   ( Irel.to_relation (Iscan.symtab source.source_plan) result,
@@ -451,7 +363,6 @@ let answer_scan ~algorithm ~order ~domains ~cancel ~prep lb q =
       early_exit = early;
       pruned_candidates = pruned;
       wall_ns = Int64.sub (now_ns ()) started;
-      domains_used = worker_count domains;
       interrupted = interruption cancel ~decided:early;
     } )
 
@@ -460,76 +371,65 @@ let fresh_prep lb q () =
   (source_of_plan plan, prepare_answer lb (Iscan.symtab plan) q)
 
 let answer_stats ?(algorithm = Kernel_partitions) ?(order = Fresh_first)
-    ?(domains = 1) ?cancel lb q =
+    ?cancel lb q =
   validate lb q;
   Obs.span "certain.answer" (fun () ->
-      answer_scan ~algorithm ~order ~domains ~cancel ~prep:(fresh_prep lb q) lb
-        q)
+      answer_scan ~algorithm ~order ~cancel ~prep:(fresh_prep lb q) lb q)
 
-let answer ?algorithm ?order ?domains ?cancel lb q =
-  fst (answer_stats ?algorithm ?order ?domains ?cancel lb q)
+let answer ?algorithm ?order ?cancel lb q =
+  fst (answer_stats ?algorithm ?order ?cancel lb q)
 
-let possible_scan ~algorithm ~order ~domains ~cancel ~prep q =
+let possible_scan ~algorithm ~order ~cancel ~prep q =
   let started = now_ns () in
   let source, image_answer = Obs.span "certain.prepare" prep in
   let tab = Iscan.symtab source.source_plan in
   (* The candidate relation is built once (not per structure), under
-     [Irel.full]'s enumeration cap; the discrete structure seeds the
-     found set — every tuple it answers is witnessed and needs no
-     further search. *)
+     [Irel.full]'s enumeration cap; the discrete structure's answer is
+     witnessed already, so the scan starts from the candidates it
+     leaves unwitnessed and strikes each one the first structure
+     admits. *)
   let all_candidates =
     Irel.full ~domain:(Array.init (Symtab.size tab) Fun.id) (Query.arity q)
   in
-  let total = Irel.cardinal all_candidates in
   let radix = Symtab.size tab in
   let seed = seed_of ~radix q source image_answer in
   Obs.count "certain.pruned" (Irel.cardinal seed);
-  let found = Atomic.make seed in
-  let saturated () = Irel.cardinal (Atomic.get found) >= total in
-  let add gained =
-    let rec loop () =
-      let cur = Atomic.get found in
-      let next = Irel.union cur gained in
-      if not (Atomic.compare_and_set found cur next) then loop ()
-    in
-    loop ()
-  in
+  let unwitnessed = ref (Irel.diff all_candidates seed) in
   let consume (s : Iscan.structure) =
     let ia = image_answer s in
-    let remaining = Irel.diff all_candidates (Atomic.get found) in
-    let gained =
-      Irel.filter (fun row -> Icode.mem ~radix ia ~rename:s.rename row) remaining
-    in
-    if not (Irel.is_empty gained) then add gained
+    unwitnessed :=
+      Irel.filter
+        (fun row -> not (Icode.mem ~radix ia ~rename:s.rename row))
+        !unwitnessed
   in
   let examined =
-    drive ~domains ~cancel ~stop:saturated consume
+    drive ~cancel
+      ~stop:(fun () -> Irel.is_empty !unwitnessed)
+      consume
       (admit_within cancel ~structures:1 ~evaluations:1
          (rest_after_discrete algorithm order
             (source.source_thunks algorithm order)))
   in
-  let result = Atomic.get found in
-  let early = Irel.cardinal result >= total in
+  let early = Irel.is_empty !unwitnessed in
   Obs.count "certain.early_exit" (if early then 1 else 0);
-  ( Irel.to_relation tab result,
+  ( Irel.to_relation tab (Irel.diff all_candidates !unwitnessed),
     {
       structures = examined + 1;
       evaluations = examined + 1;
       early_exit = early;
       pruned_candidates = Irel.cardinal seed;
       wall_ns = Int64.sub (now_ns ()) started;
-      domains_used = worker_count domains;
       interrupted = interruption cancel ~decided:early;
     } )
 
 let possible_answer_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel lb q =
+    ?(order = Fresh_first) ?cancel lb q =
   validate lb q;
   Obs.span "certain.possible_answer" (fun () ->
-      possible_scan ~algorithm ~order ~domains ~cancel ~prep:(fresh_prep lb q) q)
+      possible_scan ~algorithm ~order ~cancel ~prep:(fresh_prep lb q) q)
 
-let possible_answer ?algorithm ?order ?domains ?cancel lb q =
-  fst (possible_answer_stats ?algorithm ?order ?domains ?cancel lb q)
+let possible_answer ?algorithm ?order ?cancel lb q =
+  fst (possible_answer_stats ?algorithm ?order ?cancel lb q)
 
 (* --- prepared queries (the plan-cache contract) -------------------- *)
 
@@ -580,33 +480,32 @@ let prepared_prep p () =
       prepare_answer p.p_lb (Iscan.symtab p.p_source.source_plan) p.p_query )
 
 let prepared_answer_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel p =
+    ?(order = Fresh_first) ?cancel p =
   Obs.span "certain.answer" (fun () ->
-      answer_scan ~algorithm ~order ~domains ~cancel ~prep:(prepared_prep p)
-        p.p_lb p.p_query)
-
-let prepared_possible_answer_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel p =
-  Obs.span "certain.possible_answer" (fun () ->
-      possible_scan ~algorithm ~order ~domains ~cancel ~prep:(prepared_prep p)
+      answer_scan ~algorithm ~order ~cancel ~prep:(prepared_prep p) p.p_lb
         p.p_query)
 
+let prepared_possible_answer_stats ?(algorithm = Kernel_partitions)
+    ?(order = Fresh_first) ?cancel p =
+  Obs.span "certain.possible_answer" (fun () ->
+      possible_scan ~algorithm ~order ~cancel ~prep:(prepared_prep p) p.p_query)
+
 let prepared_boolean_decide ~target ~span ~name ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel p =
+    ?(order = Fresh_first) ?cancel p =
   if not (Query.is_boolean p.p_query) then
     invalid_arg (Printf.sprintf "Certain.%s: the query has answer variables" name);
   let body = Query.body p.p_query in
   Obs.span span (fun () ->
-      decide_boolean ~target ~algorithm ~order ~domains ~cancel
+      decide_boolean ~target ~algorithm ~order ~cancel
         ?wrap_check:p.p_check p.p_source body)
 
-let prepared_certain_boolean_stats ?algorithm ?order ?domains ?cancel p =
+let prepared_certain_boolean_stats ?algorithm ?order ?cancel p =
   let refuted, stats =
     prepared_boolean_decide ~target:false ~span:"certain.boolean"
-      ~name:"prepared_certain_boolean" ?algorithm ?order ?domains ?cancel p
+      ~name:"prepared_certain_boolean" ?algorithm ?order ?cancel p
   in
   (not refuted, stats)
 
-let prepared_possible_boolean_stats ?algorithm ?order ?domains ?cancel p =
+let prepared_possible_boolean_stats ?algorithm ?order ?cancel p =
   prepared_boolean_decide ~target:true ~span:"certain.possible_boolean"
-    ~name:"prepared_possible_boolean" ?algorithm ?order ?domains ?cancel p
+    ~name:"prepared_possible_boolean" ?algorithm ?order ?cancel p

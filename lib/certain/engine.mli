@@ -18,15 +18,6 @@
     for the {!Vardi_approx} approximation. The engine makes the
     exponential sweep as cheap as it can be:
 
-    - {e Parallelism}: every entry point takes [?domains] (default
-      [1]); with [domains > 1] the structure stream is chunked across
-      OCaml 5 [Domain.spawn] workers sharing an atomic early-exit
-      flag, so one refuting (or witnessing) structure stops all
-      workers. The worker count is [Domain.recommended_domain_count]
-      capped by [?domains] (an explicit request above 1 always gets at
-      least two domains, so the parallel path is exercised even on
-      single-core hosts). Results are identical to the sequential
-      engine for every entry point.
     - {e Pruning}: {!answer} seeds its survivor set from the discrete
       structure's answer (the Ph₁ image) instead of the full [|C|^k]
       candidate relation — sound because the certain answer is
@@ -37,6 +28,9 @@
       interning and compilation to packed flat code via
       {!Vardi_interned.Icode}) runs once per query, outside the
       per-structure loop; each structure pays only plan evaluation.
+    - {e One loop}: the scan is one sequential pass over the structure
+      stream, in enumeration order, stopping at the first structure
+      that decides the call.
     - {e One kernel}: the scan runs on integer codes throughout.
       Constants are interned once per call ({!Vardi_interned.Symtab}),
       quotient images are built incrementally along the
@@ -51,31 +45,29 @@
 
     Every entry point takes [?cancel], a {!Cancel} token carrying a
     wall-clock deadline and structure/evaluation caps. Caps truncate
-    the structure stream by position, so capped runs are deterministic
-    across worker-domain counts; the deadline is checked cooperatively
-    before each structure in every worker domain. When the budget
-    trips before a decision, the call still returns promptly and
-    normally, with {!stats.interrupted} naming the tripped dimension —
-    the raw partial value is one-sided (see the field doc), and
-    [Vardi_resilience.Resilient] is the layer that degrades it into an
-    honestly-qualified answer.
+    the structure stream by position, so capped runs are
+    deterministic; the deadline is checked cooperatively before each
+    structure. When the budget trips before a decision, the call still
+    returns promptly and normally, with {!stats.interrupted} naming the
+    tripped dimension — the raw partial value is one-sided (see the
+    field doc), and [Vardi_resilience.Resilient] is the layer that
+    degrades it into an honestly-qualified answer.
 
     {2 Observability}
 
     Every entry point is instrumented with {!Vardi_obs.Obs}: a span per
     call ([certain.answer], [certain.boolean], ...), sub-spans for plan
     preparation ([certain.prepare]), the discrete-structure seed
-    ([certain.seed]) and each chunk of the structure scan
-    ([certain.chunk], opened in the worker domain that claimed the
-    chunk), plus counters [certain.structures], [certain.evaluations],
-    [certain.pruned] and [certain.early_exit] attributed to the
-    emitting domain. [certain.interp_fallback] counts, once per
-    compiled answer plan, the plans that did not compile to packed code
-    (see {!Vardi_interned.Icode.compile_plan}) or have no relational
-    plan at all. With no sink installed (the default) each
-    instrumentation point costs one atomic load; the counters, summed
-    across domains, equal the corresponding {!stats} fields exactly —
-    the test suite enforces this for [domains = 4]. *)
+    ([certain.seed]) and the structure scan ([certain.scan], one per
+    call), plus counters [certain.structures], [certain.evaluations],
+    [certain.pruned] and [certain.early_exit]; the scan span's
+    structure and evaluation counts are emitted once, when it closes.
+    [certain.interp_fallback] counts, once per compiled answer plan,
+    the plans that did not compile to packed code (see
+    {!Vardi_interned.Icode.compile_plan}) or have no relational plan
+    at all. With no sink installed (the default) each instrumentation
+    point costs one atomic load; the counters equal the corresponding
+    {!stats} fields exactly — the test suite enforces this. *)
 
 type algorithm =
   | Naive_mappings
@@ -111,8 +103,7 @@ type stats = {
     (** the scan was decided before exhausting the structure space: a
         countermodel refuted a universal, a witness settled an
         existential, the survivor set emptied, or the possible answer
-        saturated. Deterministic — it depends only on the verdict, not
-        on scheduling. *)
+        saturated. Deterministic — it depends only on the verdict. *)
   pruned_candidates : int;
     (** for {!answer_stats}: candidate tuples eliminated by the
         discrete-image seed without per-structure work ([|C|^k] minus
@@ -120,11 +111,6 @@ type stats = {
         candidates witnessed by the seed alone; [0] for the
         per-tuple/Boolean deciders *)
   wall_ns : int64;  (** wall-clock nanoseconds for the whole call *)
-  domains_used : int;
-    (** worker domains the scan actually ran on: [1] for a sequential
-        call, otherwise [?domains] capped by
-        [Domain.recommended_domain_count] (but at least [2], so the
-        parallel path is exercised even on single-core hosts) *)
   interrupted : Cancel.reason option;
     (** [Some reason] when the [?cancel] budget tripped before the scan
         was decided — the returned value then reflects only the
@@ -139,7 +125,7 @@ type stats = {
         layer that turns interrupted scans into qualified answers. *)
 }
 
-(** [certain_member ?algorithm ?order ?domains lb q c] decides
+(** [certain_member ?algorithm ?order lb q c] decides
     [c ∈ Q(LB)], with early exit on the first countermodel.
 
     @raise Invalid_argument when [c]'s length differs from the query
@@ -149,7 +135,6 @@ type stats = {
 val certain_member :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -159,14 +144,13 @@ val certain_member :
 val certain_member_stats :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   string list ->
   bool * stats
 
-(** [certain_boolean ?algorithm ?order ?domains lb q] decides
+(** [certain_boolean ?algorithm ?order lb q] decides
     [T ⊨f φ] for a Boolean query [(). φ] — [LAS(Q)] membership for
     Boolean queries.
     @raise Invalid_argument if the query is not Boolean or mentions
@@ -174,7 +158,6 @@ val certain_member_stats :
 val certain_boolean :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -183,13 +166,12 @@ val certain_boolean :
 val certain_boolean_stats :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   bool * stats
 
-(** [answer ?algorithm ?order ?domains lb q] is the full certain answer
+(** [answer ?algorithm ?order lb q] is the full certain answer
     [Q(LB)], a relation over the constant set [C]. The survivor set is
     seeded from the discrete structure's answer (never the full [C^k]
     relation) and each further structure pays one evaluation of the
@@ -197,7 +179,6 @@ val certain_boolean_stats :
 val answer :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -206,7 +187,6 @@ val answer :
 val answer_stats :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -225,7 +205,6 @@ val answer_stats :
 val possible_member :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -235,7 +214,6 @@ val possible_member :
 val possible_member_stats :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -245,7 +223,6 @@ val possible_member_stats :
 val possible_boolean :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -254,13 +231,12 @@ val possible_boolean :
 val possible_boolean_stats :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   bool * stats
 
-(** [possible_answer ?algorithm ?order ?domains lb q] is the union over
+(** [possible_answer ?algorithm ?order lb q] is the union over
     all structures of the admitted tuples. The candidate relation is
     materialized once (guarded by {!Vardi_relational.Relation.full}'s
     enumeration cap), the found set is seeded from the discrete
@@ -269,7 +245,6 @@ val possible_boolean_stats :
 val possible_answer :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -278,7 +253,6 @@ val possible_answer :
 val possible_answer_stats :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -318,7 +292,7 @@ val prepare : Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> prepared
     A {!scan_source} bundles them, so a caller that {e owns} structures
     across calls — the incremental session ([Vardi_incr.Session]) with
     its partition-tree cache — can substitute cached structures for
-    stream positions while the engine's scheduling, budget and stats
+    stream positions while the engine's scan loop, budget and stats
     machinery stays oblivious.
 
     Contract: [source_thunks alg ord] must yield, at every position,
@@ -371,7 +345,6 @@ val prepared_query : prepared -> Vardi_logic.Query.t
 val prepared_answer_stats :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   prepared ->
   Vardi_relational.Relation.t * stats
@@ -379,7 +352,6 @@ val prepared_answer_stats :
 val prepared_possible_answer_stats :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   prepared ->
   Vardi_relational.Relation.t * stats
@@ -390,7 +362,6 @@ val prepared_possible_answer_stats :
 val prepared_certain_boolean_stats :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   prepared ->
   bool * stats
@@ -398,7 +369,6 @@ val prepared_certain_boolean_stats :
 val prepared_possible_boolean_stats :
   ?algorithm:algorithm ->
   ?order:order ->
-  ?domains:int ->
   ?cancel:Cancel.t ->
   prepared ->
   bool * stats

@@ -157,7 +157,7 @@ module Serve_protocol = Vardi_serve.Protocol
 module Serve_json = Vardi_serve.Json
 module Serve_pool = Vardi_serve.Pool
 module Plan_cache = Vardi_serve.Plan_cache
-module Domain_guard = Vardi_certain.Domain_guard
+module Domain_guard = Vardi_serve.Domain_guard
 
 (* Persistence *)
 module Ldb_format = Vardi_format.Ldb_format

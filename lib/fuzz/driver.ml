@@ -6,7 +6,6 @@ module Obs = Vardi_obs.Obs
 type config = {
   seed : int;
   count : int;
-  domains : int;
   gen : Gen.config;
   typed : bool;
   noise : int;
@@ -20,7 +19,6 @@ let default =
   {
     seed = 42;
     count = 1000;
-    domains = 2;
     gen = Gen.default;
     typed = true;
     noise = 0;
@@ -58,12 +56,11 @@ let clean outcome = outcome.failures = [] && outcome.crashes = []
    counts as still failing only when the *same* oracle id recurs. The
    instance's own fault seed is kept so fault-dependent failures stay
    reproducible while shrinking. *)
-let shrink_failure config ?faults_seed violation case =
+let shrink_failure ?faults_seed violation case =
   let still_failing (candidate : Shrink.case) =
     List.exists
       (fun (v : Oracle.violation) -> String.equal v.oracle violation.Oracle.oracle)
-      (Oracle.check ~domains:config.domains ?faults_seed candidate.Shrink.db
-         candidate.Shrink.query)
+      (Oracle.check ?faults_seed candidate.Shrink.db candidate.Shrink.query)
   in
   Shrink.minimize ~still_failing case
 
@@ -78,16 +75,16 @@ let save_failure dir index failure =
     };
   path
 
-let check_case ~domains ~index (case : Shrink.case) config =
+let check_case ~index (case : Shrink.case) config =
   let faults_seed = faults_seed config index in
-  match Oracle.check ~domains ?faults_seed case.Shrink.db case.Shrink.query with
+  match Oracle.check ?faults_seed case.Shrink.db case.Shrink.query with
   | [] -> []
   | violations ->
     List.map
       (fun violation ->
         let shrunk =
           if config.shrink then
-            Some (shrink_failure config ?faults_seed violation case)
+            Some (shrink_failure ?faults_seed violation case)
           else None
         in
         { index; violation; case; shrunk })
@@ -105,10 +102,7 @@ let run ?(config = default) () =
         (match config.progress with Some f -> f index | None -> ());
         let instance = Gen.instance ~config:config.gen ~seed:config.seed index in
         let case = { Shrink.db = instance.Gen.db; query = instance.Gen.query } in
-        failures :=
-          List.rev_append
-            (check_case ~domains:config.domains ~index case config)
-            !failures;
+        failures := List.rev_append (check_case ~index case config) !failures;
         if config.typed then begin
           incr checked_typed;
           let typed =
@@ -151,11 +145,11 @@ let run ?(config = default) () =
         crashes;
       })
 
-let replay ?(domains = default.domains) cases =
+let replay cases =
   List.concat_map
     (fun (label, (case : Corpus.case)) ->
       Obs.count "fuzz.instances" 1;
-      let violations = Oracle.check ~domains case.Corpus.db case.Corpus.query in
+      let violations = Oracle.check case.Corpus.db case.Corpus.query in
       List.map (fun v -> (label, v)) violations)
     cases
 

@@ -7,15 +7,12 @@
     ({!Noise}) and writes replayable {!Corpus} files.
 
     Reproducibility: the instance stream depends only on
-    [(config.seed, index)] — identical across runs, platforms and
-    [domains] settings — so [seed]+[index] coordinates in a failure
+    [(config.seed, index)] — identical across runs and platforms — so [seed]+[index] coordinates in a failure
     report pinpoint one regenerable instance. *)
 
 type config = {
   seed : int;
   count : int;  (** differential instances to run (default 1000) *)
-  domains : int;
-      (** worker domains for the parallel-engine oracle (default 2) *)
   gen : Gen.config;  (** instance shapes *)
   typed : bool;  (** also run the typed lane per instance (default true) *)
   noise : int;  (** parser noise-fuzz inputs to run after the stream
@@ -62,7 +59,6 @@ val run : ?config:config -> unit -> outcome
     regression-replay entry point used by the test suite and
     [ldb fuzz --replay]. *)
 val replay :
-  ?domains:int ->
   (string * Corpus.case) list ->
   (string * Oracle.violation) list
 

@@ -3,8 +3,8 @@
     its vocabulary.
 
     Reproducibility contract: instance [i] of a run with seed [s]
-    depends only on [(s, i)] — never on the platform, the worker-domain
-    count the oracles later use, or the previous instances — so a
+    depends only on [(s, i)] — never on the platform, the oracles
+    later run on it, or the previous instances — so a
     failure can be regenerated directly from its coordinates and the
     same seed yields the identical instance stream everywhere. *)
 

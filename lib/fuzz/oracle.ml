@@ -43,7 +43,6 @@ let oracle_ids =
     "exact-reference";
     "exact-merge-first";
     "exact-naive-mappings";
-    "exact-parallel";
     "kernel-parity";
     "approx-backend-algebra";
     "approx-backend-optimized";
@@ -225,7 +224,7 @@ let check_explicit_ph2 ctx ~equal ~show ~approx f =
            "Q-hat over the explicit Ph2 gives %s, the approximation %s"
            (show reference) (show approx))
 
-let check_boolean ctx ~domains db q =
+let check_boolean ctx db q =
   match
     guard ctx "exact-reference" (fun () ->
         Certain.certain_boolean ~algorithm:Certain.Kernel_partitions
@@ -241,9 +240,6 @@ let check_boolean ctx ~domains db q =
       expect_equal_bool ctx "exact-naive-mappings" ~reference:exact
         ~label:"Naive_mappings algorithm" (fun () ->
           Certain.certain_boolean ~algorithm:Certain.Naive_mappings db q);
-    expect_equal_bool ctx "exact-parallel" ~reference:exact
-      ~label:(Printf.sprintf "domains=%d" domains) (fun () ->
-        Certain.certain_boolean ~domains db q);
     (match
        guard ctx "approx-sound" (fun () -> Approx.boolean db q)
      with
@@ -282,7 +278,7 @@ let check_boolean ctx ~domains db q =
             (Certain.certain_boolean db
                (Query.boolean (Formula.Not (Query.body q))))))
 
-let check_relational ctx ~domains db q =
+let check_relational ctx db q =
   match
     guard ctx "exact-reference" (fun () ->
         Certain.answer ~algorithm:Certain.Kernel_partitions
@@ -298,9 +294,6 @@ let check_relational ctx ~domains db q =
       expect_equal_rel ctx "exact-naive-mappings" ~reference:exact
         ~label:"Naive_mappings algorithm" (fun () ->
           Certain.answer ~algorithm:Certain.Naive_mappings db q);
-    expect_equal_rel ctx "exact-parallel" ~reference:exact
-      ~label:(Printf.sprintf "domains=%d" domains) (fun () ->
-        Certain.answer ~domains db q);
     (match
        guard ctx "approx-sound" (fun () -> Approx.answer db q)
      with
@@ -422,8 +415,8 @@ let check_acq_parity ctx db q =
    The engine's one scan path (interned structures, compiled flat code,
    packed per-structure answers) must be observationally identical to
    the brute-force string evaluator in [Reference]: same answers on
-   every entry point, under both algorithms, both structure orders,
-   sequential and parallel. The reference is the simplest
+   every entry point, under both algorithms and both structure orders.
+   The reference is the simplest
    implementation of Theorem 1 and shares no code with the scan. The
    oracle keeps its historical id so committed corpus cases replay. *)
 
@@ -442,14 +435,12 @@ let check_kernel_parity ctx db q =
   let boolean = Query.is_boolean q in
   List.iter
     (fun (algorithm, alg_name) ->
-      let certain ~order ~domains () =
-        if boolean then
-          `Bool (Certain.certain_boolean ~algorithm ~order ~domains db q)
-        else `Rel (Certain.answer ~algorithm ~order ~domains db q)
-      and possible ~order ~domains () =
-        if boolean then
-          `Bool (Certain.possible_boolean ~algorithm ~order ~domains db q)
-        else `Rel (Certain.possible_answer ~algorithm ~order ~domains db q)
+      let certain ~order () =
+        if boolean then `Bool (Certain.certain_boolean ~algorithm ~order db q)
+        else `Rel (Certain.answer ~algorithm ~order db q)
+      and possible ~order () =
+        if boolean then `Bool (Certain.possible_boolean ~algorithm ~order db q)
+        else `Rel (Certain.possible_answer ~algorithm ~order db q)
       and certain_ref () =
         if boolean then `Bool (Reference.certain_boolean ~algorithm db q)
         else `Rel (Reference.answer ~algorithm db q)
@@ -464,26 +455,22 @@ let check_kernel_parity ctx db q =
           | Some reference ->
             List.iter
               (fun (order, ord_name) ->
-                List.iter
-                  (fun domains ->
-                    let label =
-                      Printf.sprintf "%s under %s/%s/domains=%d" what alg_name
-                        ord_name domains
-                    in
-                    match reference with
-                    | `Bool reference ->
-                      expect_equal_bool ctx "kernel-parity" ~reference ~label
-                        (fun () ->
-                          match run ~order ~domains () with
-                          | `Bool b -> b
-                          | `Rel _ -> assert false)
-                    | `Rel reference ->
-                      expect_equal_rel ctx "kernel-parity" ~reference ~label
-                        (fun () ->
-                          match run ~order ~domains () with
-                          | `Rel r -> r
-                          | `Bool _ -> assert false))
-                  [ 1; 4 ])
+                let label =
+                  Printf.sprintf "%s under %s/%s" what alg_name ord_name
+                in
+                match reference with
+                | `Bool reference ->
+                  expect_equal_bool ctx "kernel-parity" ~reference ~label
+                    (fun () ->
+                      match run ~order () with
+                      | `Bool b -> b
+                      | `Rel _ -> assert false)
+                | `Rel reference ->
+                  expect_equal_rel ctx "kernel-parity" ~reference ~label
+                    (fun () ->
+                      match run ~order () with
+                      | `Rel r -> r
+                      | `Bool _ -> assert false))
               orders)
         [
           ( (if boolean then "certain_boolean" else "answer"),
@@ -628,7 +615,7 @@ let check_resilient_rel ctx db q =
             Resilient.answer_stats ~policy ~budget:trip_budget db q))
       policies
 
-let check_fault_safety ctx ~domains ~seed db q =
+let check_fault_safety ctx ~seed db q =
   let boolean = Query.is_boolean q in
   (* Degrading policies must contain an armed fault plan: whatever the
      injection kills, no exception escapes and the bound still holds.
@@ -675,8 +662,8 @@ let check_fault_safety ctx ~domains ~seed db q =
              Obs.with_sink
                (Faults.raising_sink ())
                (fun () ->
-                 if boolean then `Bool (Certain.certain_boolean ~domains db q)
-                 else `Rel (Certain.answer ~domains db q))
+                 if boolean then `Bool (Certain.certain_boolean db q)
+                 else `Rel (Certain.answer db q))
            in
            (reference, under_sink))
      with
@@ -701,8 +688,8 @@ let check_fault_safety ctx ~domains ~seed db q =
 
 (* A resilient call's observable outcome as one comparable line: the
    qualified constructor and value, the [source]/[tripped]/
-   [scan_failure] provenance and the scan counters. Wall-clock and
-   [domains_used] are excluded. *)
+   [scan_failure] provenance and the scan counters. Wall-clock is
+   excluded. *)
 
 let resilient_summary ~show (result, (stats : Resilient.stats)) =
   let reason = function
@@ -1056,21 +1043,21 @@ let check_crash_recovery ctx ~seed db q =
             add ctx oracle
               (Printf.sprintf "%s: second recovery pass diverged" where))))
 
-let check ?(domains = 2) ?faults_seed db q =
+let check ?faults_seed db q =
   let ctx = { violations = []; checks = 0 } in
   Obs.span "fuzz.oracle" (fun () ->
       check_query_roundtrip ctx q;
       check_ldb_roundtrip ctx db;
       check_ldb_parse_parity ctx db;
-      if Query.is_boolean q then check_boolean ctx ~domains db q
-      else check_relational ctx ~domains db q;
+      if Query.is_boolean q then check_boolean ctx db q
+      else check_relational ctx db q;
       check_acq_parity ctx db q;
       check_kernel_parity ctx db q;
       if Query.is_boolean q then check_resilient_bool ctx db q
       else check_resilient_rel ctx db q;
       (match faults_seed with
       | Some seed ->
-        check_fault_safety ctx ~domains ~seed db q;
+        check_fault_safety ctx ~seed db q;
         check_crash_recovery ctx ~seed db q
       | None -> ());
       check_incremental_parity ctx db q;

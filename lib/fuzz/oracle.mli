@@ -4,14 +4,14 @@
     implementation documents) and checks it by running the same
     [(LB, Q)] instance through independent code paths:
 
-    - [exact-merge-first], [exact-naive-mappings], [exact-parallel]:
-      the exact certain-answer engine agrees with itself across
-      structure orders, algorithms (Theorem 1's literal mapping
-      enumeration vs kernel partitions) and worker-domain counts;
+    - [exact-merge-first], [exact-naive-mappings]: the exact
+      certain-answer engine agrees with itself across structure orders
+      and algorithms (Theorem 1's literal mapping enumeration vs kernel
+      partitions);
     - [kernel-parity]: the engine agrees with the brute-force string
       evaluator {!Reference} on [answer]/[certain_boolean] and
-      [possible_answer]/[possible_boolean], under both algorithms, both
-      structure orders, and [domains ∈ {1, 4}];
+      [possible_answer]/[possible_boolean], under both algorithms and
+      both structure orders;
     - [approx-sound]: Theorem 11, [A(Q, LB) ⊆ Q(LB)];
     - [approx-complete]: Theorems 12/13 — equality whenever
       {!Vardi_approx.Evaluate.completeness} says a completeness
@@ -97,16 +97,14 @@ val pp_violation : violation Fmt.t
 (** All oracle identifiers that can appear in {!violation.oracle}. *)
 val oracle_ids : string list
 
-(** [check ?domains ?faults_seed db q] runs every applicable oracle and
-    returns the violations, in check order (empty means the instance
-    passed). [domains] (default 2) is the worker count for the
-    parallel-engine comparison. [faults_seed] additionally runs the
+(** [check ?faults_seed db q] runs every applicable oracle and returns
+    the violations, in check order (empty means the instance passed).
+    [faults_seed] additionally runs the
     [resilient-fault-safety] and [crash-recovery] oracles under fault
     plans armed with that seed — omitted by default because injection
     perturbs timing, not correctness. Emits a [fuzz.oracle] span and
     [fuzz.checks] / [fuzz.violations] counters. *)
 val check :
-  ?domains:int ->
   ?faults_seed:int ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->

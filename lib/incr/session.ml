@@ -184,15 +184,15 @@ let close_unknown t c d ~to_ =
         if not (Cw_database.are_distinct v.v_db c d) then begin
           let db = Cw_database.add_distinct v.v_db c d in
           (* Codes and facts are unchanged — the new uniqueness axiom
-             only prunes the partition enumeration. The symtab must be
-             rebuilt (it bakes in the distinct matrix), but every
-             cached structure and memo entry stays valid: quotient
-             structures and their per-query answers never consult the
-             distinct pairs. *)
+             only prunes the partition enumeration. The symtab is
+             rebuilt (it bakes in the distinct matrix) and every coded
+             fact is kept ([Iscan.with_axioms]); every cached structure
+             and memo entry stays valid: quotient structures and their
+             per-query answers never consult the distinct pairs. *)
           t.view <-
             {
               v_db = db;
-              v_plan = Iscan.prepare db;
+              v_plan = Iscan.with_axioms v.v_plan db;
               v_tab_epoch = v.v_tab_epoch;
               v_slot_epochs = v.v_slot_epochs;
               v_delta_epoch = v.v_delta_epoch + 1;

@@ -101,7 +101,9 @@ val retract : t -> Vardi_cwdb.Cw_database.fact -> unit
     already present); [`Equal] merges [d] into [c]
     ({!Vardi_cwdb.Cw_database.merge_constants} — [c] survives). A merge
     changes the constant coding, so it is the one mutation that resets
-    the structure cache and memos.
+    the structure cache and memos, and re-interns every fact. A
+    distinct close rebuilds only the symtab
+    ({!Vardi_interned.Iscan.with_axioms}).
     @raise Invalid_argument as the underlying database operations. *)
 val close_unknown :
   t -> string -> string -> to_:[ `Distinct | `Equal ] -> unit

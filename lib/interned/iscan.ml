@@ -126,6 +126,18 @@ let remove_fact plan fact =
            if s <> slot then Some (s, rows)
            else match keep rows with [] -> None | rows -> Some (s, rows)))
 
+(* --- axiom deltas ---------------------------------------------------- *)
+
+(* Codes, slots and facts are untouched by a uniqueness axiom; only the
+   symtab's distinct matrix, which the enumeration consults, changes. *)
+let with_axioms plan db =
+  let tab = Symtab.make db in
+  if not (Symtab.same_coding plan.tab tab) then
+    invalid_arg
+      "Iscan.with_axioms: the database's constants or vocabulary differ \
+       from the plan's";
+  { plan with tab }
+
 let symtab plan = plan.tab
 
 (* --- the kernel-partition stream ----------------------------------- *)
@@ -202,11 +214,13 @@ let finish plan node =
   { idb; rename = node.repr }
 
 (* The enumeration step (node extension bookkeeping) runs wherever the
-   sequence is forced — the scheduler's critical section — while the
-   last extension and [finish] are deferred into the returned thunk, so
-   the per-leaf relation work lands on whichever worker domain claimed
-   the structure. Branches are eta-expanded: nothing about a sibling
-   subtree is computed until the stream actually reaches it. *)
+   sequence is forced, while the last extension and [finish] are
+   deferred into the returned thunk, so a consumer that forces the
+   stream without calling the thunk — a positional budget cap probing
+   for one more structure, or a session serving the position from its
+   cache — pays no per-leaf relation work. Branches are eta-expanded:
+   nothing about a sibling subtree is computed until the stream
+   actually reaches it. *)
 let structure_thunks ?(order = Partition.Fresh_first) plan =
   let n = plan.n in
   if n = 0 then Seq.return (fun () -> finish plan (root plan))

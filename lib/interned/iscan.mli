@@ -17,9 +17,10 @@
     [Mapping.all]'s enumeration order, cap and error message.
 
     Both streams defer the expensive per-structure work (the leaf
-    extension, or the whole image) into the returned thunks, matching
-    the engine's scheduler contract: enumeration under the puller lock,
-    construction in the claiming worker domain. *)
+    extension, or the whole image) into the returned thunks: forcing
+    the sequence only enumerates. A consumer that looks one position
+    past a budget cap, or serves a position from its own cache, never
+    builds that structure. *)
 
 type structure = {
   idb : Idb.t;
@@ -56,6 +57,24 @@ val prepare : Vardi_cwdb.Cw_database.t -> plan
 
 val add_fact : plan -> Vardi_cwdb.Cw_database.fact -> plan
 val remove_fact : plan -> Vardi_cwdb.Cw_database.fact -> plan
+
+(** {1 Axiom deltas}
+
+    A uniqueness axiom changes neither the constants nor the
+    vocabulary, so every code, slot and coded fact outlives it; only
+    the renamings do, and they read the symtab's distinct matrix.
+    [with_axioms plan db] is [plan] with its symtab rebuilt from [db]:
+    equal, in every structure it builds, to {!prepare} [db] when [db]
+    holds [plan]'s facts (they are not compared). Every fact slot,
+    depth bucket and root relation is shared with [plan], which is
+    left as it was.
+
+    Cost: one [Symtab.make] — O(n² + u) for [n] constants and [u]
+    uniqueness axioms; no fact is coded again.
+
+    @raise Invalid_argument when [db]'s constants or vocabulary differ
+    from [plan]'s (a merge re-codes constants: use {!prepare}). *)
+val with_axioms : plan -> Vardi_cwdb.Cw_database.t -> plan
 
 val symtab : plan -> Symtab.t
 

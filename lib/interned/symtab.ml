@@ -53,5 +53,10 @@ let rel_name t slot = t.rel_names.(slot)
 let rel_arity t slot = t.rel_arities.(slot)
 let rel_slot t p = Hashtbl.find_opt t.rel_slots p
 
+let same_coding a b =
+  a.constants = b.constants
+  && a.rel_names = b.rel_names
+  && a.rel_arities = b.rel_arities
+
 let code_tuple t tuple = Array.of_list (List.map (code t) tuple)
 let name_tuple t row = Array.to_list (Array.map (name t) row)

@@ -7,8 +7,10 @@
     The uniqueness axioms become a boolean matrix over codes, and
     predicates become dense relation slots in vocabulary order.
 
-    The table is immutable after {!make}; its lifetime is one scan, so
-    codes are never shared across databases. *)
+    The table is immutable after {!make}. Its codes hold for every
+    database with the same constants and vocabulary ({!same_coding}) —
+    an incremental session keeps them across fact deltas and new
+    uniqueness axioms — and for no other. *)
 
 type t
 
@@ -38,6 +40,11 @@ val rel_count : t -> int
 val rel_name : t -> int -> string
 val rel_arity : t -> int -> int
 val rel_slot : t -> string -> int option
+
+(** [same_coding a b] iff [a] and [b] give every constant the same
+    code and every predicate the same slot and arity — they may differ
+    only in their uniqueness axioms. *)
+val same_coding : t -> t -> bool
 
 (** Boundary conversions between string tuples and code rows. *)
 val code_tuple : t -> string list -> int array

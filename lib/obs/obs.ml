@@ -5,8 +5,8 @@
    1. The disabled path must be as close to free as possible — one
       atomic load per span/count call — because every engine hot loop
       is instrumented unconditionally.
-   2. Events must carry the worker domain that produced them, so the
-      parallel certain-answer engine's cost is attributable per domain.
+   2. Events must carry the domain that produced them, so work on the
+      serve layer's worker domains is attributable per domain.
    3. Sinks are pluggable values, not functors: the CLI composes them
       at run time (console + file, buffer + console, ...). *)
 
@@ -95,17 +95,14 @@ let with_sink s f =
 let next_id = Atomic.make 1
 
 (* Per-domain stack of open span ids: nesting is tracked where the work
-   runs, so a worker domain's chunk spans are children of whatever that
-   domain opened, never of another domain's spans. Root spans opened on
-   the main domain and worker spans opened inside [Domain.spawn] both
-   get the right parent without any cross-domain coordination. *)
+   runs, so a worker domain's spans are children of whatever that
+   domain opened, never of another domain's spans — no cross-domain
+   coordination needed. *)
 let stack_key : int list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 let domain_id () = (Domain.self () :> int)
 
 let current_span () =
   match !(Domain.DLS.get stack_key) with [] -> None | id :: _ -> Some id
-
-let current_span_id = current_span
 
 let emit ev =
   match Atomic.get current with
@@ -117,18 +114,12 @@ let emit ev =
     | Sys.Break -> raise Sys.Break
     | _ -> disable_failed cur)
 
-let span ?parent name f =
+let span name f =
   if not (enabled ()) then f ()
   else begin
     let id = Atomic.fetch_and_add next_id 1 in
     let stack = Domain.DLS.get stack_key in
-    (* The innermost span open on this domain wins; [?parent] only
-       adopts spans opened on a domain with an empty stack — the worker
-       domains of a parallel scan, whose chunks should nest under the
-       scan's span on the spawning domain. *)
-    let parent =
-      match current_span () with Some p -> Some p | None -> parent
-    in
+    let parent = current_span () in
     let t0 = now_ns () in
     emit (Span_open { id; parent; name; domain = domain_id (); at_ns = t0 });
     stack := id :: !stack;
@@ -340,9 +331,9 @@ let pp_counts ppf = function
       (String.concat ", "
          (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) counts))
 
-(* Sibling leaves sharing a name (the per-chunk spans of the parallel
-   scan) collapse into one "name xN" line with summed time and
-   counters; anything with children prints individually. *)
+(* Sibling leaves sharing a name (repeated calls under one parent)
+   collapse into one "name xN" line with summed time and counters;
+   anything with children prints individually. *)
 let rec pp_forest ppf ~indent trees =
   let rec emit_siblings = function
     | [] -> ()

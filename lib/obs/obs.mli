@@ -31,7 +31,7 @@
     {[
       let buf = Obs.buffer () in
       Obs.with_sink (Obs.buffer_sink buf) (fun () ->
-          ignore (Certain.answer ~domains:4 db q));
+          ignore (Certain.answer db q));
       Obs.pp_spans Fmt.stdout (Obs.events buf);
       Obs.pp_counters Fmt.stdout (Obs.events buf)
     ]} *)
@@ -128,21 +128,13 @@ val with_sink : sink -> (unit -> 'a) -> 'a
 
 (** {1 Instrumentation points} *)
 
-(** [span ?parent name f] runs [f] inside a named span: a [Span_open]
-    event, [f ()], then a matching [Span_close] carrying the elapsed
-    time. The span nests under the innermost span already open on the
-    calling domain; when that domain has no open span, [?parent] (a
-    span id from {!current_span_id}, typically captured before
-    [Domain.spawn]) is adopted instead, so worker-domain spans can nest
-    under the scan that spawned them. When no sink is installed this is
-    exactly [f ()] after one atomic load. Exceptions from [f] still
-    close the span and propagate. *)
-val span : ?parent:int -> string -> (unit -> 'a) -> 'a
-
-(** [current_span_id ()] is the id of the innermost span open on the
-    calling domain, if any — capture it before spawning workers and
-    pass it as [?parent] to their spans. *)
-val current_span_id : unit -> int option
+(** [span name f] runs [f] inside a named span: a [Span_open] event,
+    [f ()], then a matching [Span_close] carrying the elapsed time. The
+    span nests under the innermost span already open on the calling
+    domain. When no sink is installed this is exactly [f ()] after one
+    atomic load. Exceptions from [f] still close the span and
+    propagate. *)
+val span : string -> (unit -> 'a) -> 'a
 
 (** [count name value] emits a [Count] event attributing [value] to
     counter [name] on the calling domain, tagged with the innermost open
@@ -207,7 +199,7 @@ val spans : event list -> tree list
 
 (** [pp_spans ppf evs] prints the span forest as an indented tree with
     durations and per-span counters. Runs of childless sibling spans
-    with the same name (the parallel scan's chunk spans) collapse into
+    with the same name (repeated calls under one parent) collapse into
     one [name xN] line with summed time and counters. *)
 val pp_spans : Format.formatter -> event list -> unit
 

@@ -12,21 +12,21 @@
     The injectable faults, mirroring the failure modes the resilience
     invariants cover:
 
-    - {b killing a worker chunk}: {!probe} is wired (by
-      {!Resilient}) into the cancellation token's per-structure check,
-      so a firing raises inside whichever OCaml 5 worker domain was
-      scanning — the engine's failure machinery re-raises it at the
-      entry point, where {!Resilient} degrades instead of crashing;
+    - {b killing the scan}: {!probe} is wired (by {!Resilient}) into
+      the cancellation token's per-structure check, so a firing raises
+      in the middle of the structure scan and propagates out of the
+      engine's entry point, where {!Resilient} degrades instead of
+      crashing;
     - {b a raising observability sink}: {!raising_sink} is an
       {!Vardi_obs.Obs} sink whose [emit] raises after a set number of
       events — the hardened Obs layer must catch, count and disable it;
     - {b a failing corpus/file read}: [Vardi_fuzz.Corpus.load] visits
       the ["corpus.read"] point before touching the file.
 
-    Firing decisions are deterministic in the visit counter, but under
-    parallel scans the counter order depends on scheduling; the fuzz
-    oracles therefore assert invariants (no leaked exception, sound
-    bounds, honest stats) rather than exact outcomes. *)
+    Firing decisions are deterministic in the visit counter, but the
+    counter is process-wide and every armed point advances it; the
+    fuzz oracles therefore assert invariants (no leaked exception,
+    sound bounds, honest stats) rather than exact outcomes. *)
 
 (** Raised by a firing fault point; the payload is the point name. *)
 exception Injected of string
@@ -52,7 +52,7 @@ val with_faults : seed:int -> ?rate:float -> (unit -> 'a) -> 'a
 val point : string -> unit
 
 (** The fault point {!Resilient} wires into cancellation tokens; fires
-    as ["scan.worker"], from inside a worker domain. *)
+    as ["scan.worker"], before a structure of the scan. *)
 val probe : unit -> unit
 
 (** [short_write ~total name] is the durable file layer's torn-write

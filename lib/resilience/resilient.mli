@@ -5,7 +5,7 @@
     an engine serving real traffic will meet inputs it cannot finish.
     This layer runs the exact {!Vardi_certain.Engine} scan under a
     {!Budget} and, when the budget trips or the scan dies (an injected
-    or real worker fault), degrades per {!policy} instead of hanging or
+    or real fault), degrades per {!policy} instead of hanging or
     crashing. The principled fallback is the paper's own Section 5
     approximation — sound always (Theorem 11), complete on fully
     specified databases and positive queries (Theorems 12/13).
@@ -73,7 +73,7 @@ type stats = {
       (** budget dimension that tripped, if one did *)
   scan_failure : string option;
       (** printed exception when the exact scan died (e.g. an injected
-          worker fault) instead of tripping *)
+          scan fault) instead of tripping *)
   scan : Vardi_certain.Engine.stats option;
       (** the exact scan's counters — present whenever the scan
           returned, complete or interrupted; [None] when it raised *)
@@ -83,8 +83,7 @@ type stats = {
 (** [answer ~budget lb q] evaluates the certain answer [Q(LB)] under
     [budget] and degrades per [policy] (default [Fail]).
 
-    [?algorithm], [?order], [?domains] are passed to the exact
-    engine.
+    [?algorithm] and [?order] are passed to the exact engine.
     Emits a [resilience.answer] span and, when degradation happens,
     [resilience.budget_trip] / [resilience.scan_failure] /
     [resilience.fallback] counters.
@@ -99,7 +98,6 @@ val answer :
   ?policy:policy ->
   ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
-  ?domains:int ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -109,7 +107,6 @@ val answer_stats :
   ?policy:policy ->
   ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
-  ?domains:int ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -121,7 +118,6 @@ val boolean :
   ?policy:policy ->
   ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
-  ?domains:int ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -131,7 +127,6 @@ val boolean_stats :
   ?policy:policy ->
   ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
-  ?domains:int ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
@@ -141,7 +136,11 @@ val boolean_stats :
     {!Vardi_certain.Engine.prepared} query — per-query compilation was
     paid once at prepare time (the serve layer's plan-cache path). The
     approximation fallback recompiles from the stored database and
-    query, which only happens on degradation paths. *)
+    query, which only happens on degradation paths.
+
+    [?domains] is deprecated and ignored — the exact scan is one
+    sequential loop. It survives on the two prepared entry points only
+    so that existing callers keep compiling; pass nothing. *)
 val prepared_answer_stats :
   ?policy:policy ->
   ?algorithm:Vardi_certain.Engine.algorithm ->

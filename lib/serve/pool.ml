@@ -1,4 +1,3 @@
-module Domain_guard = Vardi_certain.Domain_guard
 module Obs = Vardi_obs.Obs
 
 type job = cancelled:bool -> unit

@@ -5,9 +5,9 @@
     threads {!submit} jobs; a full queue answers [`Busy] immediately
     (the protocol's backpressure code) instead of letting latency grow
     without bound, and a stopping pool answers [`Stopping]. Workers
-    are spawned and joined through {!Vardi_certain.Domain_guard} — the
-    same SIGINT discipline as the engine's scan scheduler, so Ctrl-C
-    during a served query never orphans a domain.
+    are spawned and joined through {!Domain_guard}'s SIGINT
+    discipline, so Ctrl-C during a served query never orphans a
+    domain.
 
     A job is a closure [cancelled:bool -> unit]: it runs with
     [~cancelled:false] on a worker, or with [~cancelled:true] (on the

@@ -106,10 +106,6 @@ let options_of_json j =
         ( "\"policy\" must be \"fail\", \"partial\" or \"approx\"",
           Semantic_error )
   in
-  let* domains =
-    let* d = positive_int_field j "domains" in
-    result_ok (Option.value d ~default:default_options.domains)
-  in
   let* timeout =
     match Json.member "timeout_ms" j with
     | None -> result_ok None
@@ -120,7 +116,14 @@ let options_of_json j =
   let* max_structures = positive_int_field j "max_structures" in
   let* max_evaluations = positive_int_field j "max_evaluations" in
   result_ok
-    { kernel; domains; policy; timeout; max_structures; max_evaluations }
+    {
+      kernel;
+      domains = default_options.domains;
+      policy;
+      timeout;
+      max_structures;
+      max_evaluations;
+    }
 
 let request_of_json j =
   match j with

@@ -16,10 +16,12 @@
     {"op":"shutdown"}
     v}
 
-    [query]/[boolean] accept optional ["domains"], ["policy"] ("fail"
-    default, "partial", "approx"), ["timeout_ms"], ["max_structures"],
+    [query]/[boolean] accept optional ["policy"] ("fail" default,
+    "partial", "approx"), ["timeout_ms"], ["max_structures"],
     ["max_evaluations"], and the deprecated ["kernel"] ("interned",
-    "compiled" or "strings" — accepted and ignored). Every response
+    "compiled" or "strings" — accepted and ignored). A ["domains"]
+    field is ignored like any other unknown field: the scan is
+    sequential. Every response
     carries a ["code"] from the exit-code taxonomy mapped onto the
     wire.
 
@@ -53,6 +55,7 @@ type eval_options = {
   kernel : Vardi_certain.Engine.kernel;
       (** deprecated: parsed from ["kernel"] and ignored *)
   domains : int;
+      (** deprecated: always [1]; the wire field is no longer read *)
   policy : Vardi_resilience.Resilient.policy;
   timeout : float option;  (** seconds, from ["timeout_ms"] *)
   max_structures : int option;

@@ -1,6 +1,5 @@
 module Certain = Vardi_certain.Engine
 module Cancel = Vardi_certain.Cancel
-module Domain_guard = Vardi_certain.Domain_guard
 module Resilient = Vardi_resilience.Resilient
 module Budget = Vardi_resilience.Budget
 module Obs = Vardi_obs.Obs
@@ -251,8 +250,8 @@ let evaluate state ~want_boolean ~(opts : Protocol.eval_options) entry ~db_name
         in
         if want_boolean || Query.is_boolean q then begin
           let qualified, rstats =
-            Resilient.prepared_boolean_stats ~policy:opts.policy
-              ~domains:opts.domains ~budget prepared
+            Resilient.prepared_boolean_stats ~policy:opts.policy ~budget
+              prepared
           in
           match qualified with
           | Resilient.Exhausted -> exhausted_response rstats
@@ -269,8 +268,8 @@ let evaluate state ~want_boolean ~(opts : Protocol.eval_options) entry ~db_name
         end
         else begin
           let qualified, rstats =
-            Resilient.prepared_answer_stats ~policy:opts.policy
-              ~domains:opts.domains ~budget prepared
+            Resilient.prepared_answer_stats ~policy:opts.policy ~budget
+              prepared
           in
           match qualified with
           | Resilient.Exhausted -> exhausted_response rstats

@@ -31,7 +31,7 @@
     Teardown discipline: every connection flushes the ambient
     {!Vardi_obs.Obs} sink and closes its descriptor on every exit
     path; {!run} returns only after the pool's worker domains are all
-    joined ({!Vardi_certain.Domain_guard}), also when it is leaving on
+    joined ({!Domain_guard}), also when it is leaving on
     [Sys.Break] — so a Ctrl-C exit never orphans a domain. Durable
     stores are checkpointed (fresh snapshot, reset log) on every
     shutdown path. SIGTERM is the graceful drain: the server stops

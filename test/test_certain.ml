@@ -218,67 +218,6 @@ let engines_agree_possible =
         (Certain.possible_answer ~algorithm:Certain.Naive_mappings db query)
         (Certain.possible_answer ~algorithm:Certain.Kernel_partitions db query))
 
-(* The parallel scheduler changes only the work distribution: every
-   entry point returns exactly the sequential result, and the
-   (deterministic) early-exit flag agrees. *)
-let parallel_agrees_boolean =
-  QCheck2.Test.make ~count:80 ~name:"domains=4 = sequential (boolean paths)"
-    ~print:Support.print_db_sentence Support.gen_db_and_sentence
-    (fun (db, sentence) ->
-      let query = Query.boolean sentence in
-      let seq_v, seq_s = Certain.certain_boolean_stats db query in
-      let par_v, par_s = Certain.certain_boolean_stats ~domains:4 db query in
-      let pos_seq, pos_seq_s = Certain.possible_boolean_stats db query in
-      let pos_par, pos_par_s =
-        Certain.possible_boolean_stats ~domains:4 db query
-      in
-      seq_v = par_v
-      && seq_s.Certain.early_exit = par_s.Certain.early_exit
-      && seq_s.Certain.early_exit = not seq_v
-      && pos_seq = pos_par
-      && pos_seq_s.Certain.early_exit = pos_par_s.Certain.early_exit
-      && pos_seq_s.Certain.early_exit = pos_seq)
-
-let parallel_agrees_answers =
-  QCheck2.Test.make ~count:60 ~name:"domains=4 = sequential (answer paths)"
-    ~print:Support.print_db_query
-    (Support.gen_db_and_query ~arity:1)
-    (fun (db, query) ->
-      let seq_a, seq_s = Certain.answer_stats db query in
-      let par_a, par_s = Certain.answer_stats ~domains:4 db query in
-      let pos_seq, pos_seq_s = Certain.possible_answer_stats db query in
-      let pos_par, pos_par_s =
-        Certain.possible_answer_stats ~domains:4 db query
-      in
-      Relation.equal seq_a par_a
-      && seq_s.Certain.early_exit = par_s.Certain.early_exit
-      && seq_s.Certain.pruned_candidates = par_s.Certain.pruned_candidates
-      && Relation.equal pos_seq pos_par
-      && pos_seq_s.Certain.early_exit = pos_par_s.Certain.early_exit)
-
-let parallel_agrees_member =
-  QCheck2.Test.make ~count:60 ~name:"domains=4 = sequential (member paths)"
-    ~print:Support.print_db_query
-    (Support.gen_db_and_query ~arity:1)
-    (fun (db, query) ->
-      List.for_all
-        (fun c ->
-          Certain.certain_member db query [ c ]
-          = Certain.certain_member ~domains:4 db query [ c ]
-          && Certain.possible_member db query [ c ]
-             = Certain.possible_member ~domains:4 db query [ c ])
-        (Cw_database.constants db))
-
-(* Parallelism composes with the naive reference algorithm too. *)
-let parallel_agrees_naive =
-  QCheck2.Test.make ~count:40 ~name:"domains=4 naive = sequential kernel"
-    ~print:Support.print_db_sentence Support.gen_db_and_sentence
-    (fun (db, sentence) ->
-      let query = Query.boolean sentence in
-      Certain.certain_boolean ~algorithm:Certain.Naive_mappings ~domains:4 db
-        query
-      = Certain.certain_boolean ~algorithm:Certain.Kernel_partitions db query)
-
 (* The visit order changes only the search path, never the verdict. *)
 let orders_agree =
   QCheck2.Test.make ~count:120 ~name:"fresh-first = merge-first verdicts"
@@ -314,14 +253,10 @@ let suite =
     Support.qcheck_case engines_agree_boolean;
     Support.qcheck_case engines_agree_answers;
     Support.qcheck_case engines_agree_possible;
-    Support.qcheck_case parallel_agrees_boolean;
-    Support.qcheck_case parallel_agrees_answers;
-    Support.qcheck_case parallel_agrees_member;
-    Support.qcheck_case parallel_agrees_naive;
-    Support.qcheck_case theorem1_definition;
-    Support.qcheck_case corollary2_property;
     Support.qcheck_case more_axioms_more_answers;
     Support.qcheck_case certain_implies_possible;
     Support.qcheck_case orders_agree;
     Support.qcheck_case possible_duality;
+    Support.qcheck_case theorem1_definition;
+    Support.qcheck_case corollary2_property;
   ]

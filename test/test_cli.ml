@@ -77,6 +77,11 @@ let test_exit_usage () =
       check_exit "missing database file" 2
         (run_ldb [ "query"; "/nonexistent.ldb"; "(). P(a)" ]);
       check_exit "unknown option" 2 (run_ldb [ "query"; db; "(). P(a)"; "--nonsense" ]);
+      (* the scan is sequential: the worker-domain flag is gone *)
+      check_exit "query --domains" 2
+        (run_ldb [ "query"; db; "(). TEACHES(socrates, plato)"; "--domains"; "2" ]);
+      check_exit "fuzz --domains" 2
+        (run_ldb [ "fuzz"; "--count"; "0"; "--domains"; "2" ]);
       check_exit "budget with a budgetless engine" 2
         (run_ldb
            [ "query"; db; "(). TEACHES(socrates, plato)"; "-e"; "approx"; "--timeout"; "1" ]))

@@ -82,21 +82,6 @@ let test_driver_clean_stream () =
   check_int "all instances ran" 150 outcome.Fuzz.instances;
   check_int "typed lane ran per instance" 150 outcome.Fuzz.checked_typed
 
-let test_driver_domains_do_not_change_the_stream () =
-  (* The acceptance criterion: the instance stream is identical across
-     domain counts (generation never consults the oracle config). *)
-  let with_domains n =
-    List.of_seq (Fuzz_gen.stream ~seed:42 ~count:10 ())
-    |> List.map instance_to_string
-    |> fun stream ->
-    ignore
-      (Fuzz.run ~config:{ Fuzz.default with seed = 42; count = 5; domains = n } ());
-    stream
-  in
-  Alcotest.(check (list string))
-    "streams under domains=1 and domains=3 coincide" (with_domains 1)
-    (with_domains 3)
-
 (* --- oracles catch seeded bugs: a broken engine result must be
    flagged (the oracle battery is not vacuously green) --- *)
 
@@ -263,8 +248,6 @@ let suite =
     Alcotest.test_case "config validation" `Quick test_gen_validates_config;
     Alcotest.test_case "driver: clean fixed-seed stream" `Quick
       test_driver_clean_stream;
-    Alcotest.test_case "driver: stream independent of domains" `Quick
-      test_driver_domains_do_not_change_the_stream;
     Alcotest.test_case "oracle battery on the canonical gap" `Quick
       test_oracle_flags_unsoundness;
     Alcotest.test_case "corpus round-trip" `Quick test_corpus_roundtrip;

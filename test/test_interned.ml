@@ -266,41 +266,28 @@ let test_kernel_parity_exhaustive () =
           in
           List.iter
             (fun order ->
-              List.iter
-                (fun domains ->
-                  let label what =
-                    Printf.sprintf "%s on %s (domains=%d)" what text domains
+              let label what = Printf.sprintf "%s on %s" what text in
+              let s =
+                match reference with
+                | `Bool r ->
+                  let v, s =
+                    Certain.certain_boolean_stats ~algorithm ~order db query
                   in
-                  let s =
-                    match reference with
-                    | `Bool r ->
-                      let v, s =
-                        Certain.certain_boolean_stats ~algorithm ~order ~domains
-                          db query
-                      in
-                      check_bool (label "verdict") r v;
-                      s
-                    | `Rel r ->
-                      let v, s =
-                        Certain.answer_stats ~algorithm ~order ~domains db query
-                      in
-                      check Support.relation_testable (label "answer") r v;
-                      s
-                  in
-                  (* Parallel schedules may stop different numbers of
-                     structures after an early exit; the stats contract
-                     is exact only sequentially. *)
-                  if domains = 1 then begin
-                    check_int (label "evaluations = structures")
-                      s.Certain.structures s.Certain.evaluations;
-                    check_bool (label "not interrupted") true
-                      (s.Certain.interrupted = None);
-                    if not s.Certain.early_exit then
-                      check_int (label "a full scan visits every structure")
-                        (full_scan_structures ~algorithm ~order ~boolean db)
-                        s.Certain.structures
-                  end)
-                [ 1; 3 ])
+                  check_bool (label "verdict") r v;
+                  s
+                | `Rel r ->
+                  let v, s = Certain.answer_stats ~algorithm ~order db query in
+                  check Support.relation_testable (label "answer") r v;
+                  s
+              in
+              check_int (label "evaluations = structures")
+                s.Certain.structures s.Certain.evaluations;
+              check_bool (label "not interrupted") true
+                (s.Certain.interrupted = None);
+              if not s.Certain.early_exit then
+                check_int (label "a full scan visits every structure")
+                  (full_scan_structures ~algorithm ~order ~boolean db)
+                  s.Certain.structures)
             [ Certain.Fresh_first; Certain.Merge_first ])
         [ Certain.Kernel_partitions; Certain.Naive_mappings ])
     cases
@@ -319,33 +306,27 @@ let test_possible_parity () =
 
 (* --- positional budget caps ------------------------------------------ *)
 
-(* A structure cap admits a prefix of the enumeration, in every
-   schedule: the capped answer is the reference's answer over exactly
-   the structures the scan reports, and the cap trips only when the
-   stream ran past it undecided. *)
+(* A structure cap admits a prefix of the enumeration: the capped
+   answer is the reference's answer over exactly the structures the
+   scan reports, and the cap trips only when the stream ran past it
+   undecided. *)
 let test_budget_positional_parity () =
   let query = q "(x). ~(exists y. TEACHES(x, y))" in
   let stream = Fuzz_reference.structures socrates in
   let total = Seq.length stream in
   List.iter
     (fun cap ->
-      List.iter
-        (fun domains ->
-          let cancel = Cancel.create ~max_structures:cap () in
-          let r, s = Certain.answer_stats ~domains ~cancel socrates query in
-          let label what =
-            Printf.sprintf "%s under cap %d, domains %d" what cap domains
-          in
-          check_bool (label "within the cap") true (s.Certain.structures <= cap);
-          check Support.relation_testable (label "capped answer")
-            (Fuzz_reference.answer_in
-               (Seq.take s.Certain.structures stream)
-               socrates query)
-            r;
-          check_bool (label "trips exactly when the cap binds")
-            (total > cap && not s.Certain.early_exit)
-            (s.Certain.interrupted <> None))
-        [ 1; 4 ])
+      let cancel = Cancel.create ~max_structures:cap () in
+      let r, s = Certain.answer_stats ~cancel socrates query in
+      let label what = Printf.sprintf "%s under cap %d" what cap in
+      check_bool (label "within the cap") true (s.Certain.structures <= cap);
+      check Support.relation_testable (label "capped answer")
+        (Fuzz_reference.answer_in (Seq.take s.Certain.structures stream)
+           socrates query)
+        r;
+      check_bool (label "trips exactly when the cap binds")
+        (total > cap && not s.Certain.early_exit)
+        (s.Certain.interrupted <> None))
     [ 1; 2; 3; 5; 8 ]
 
 (* --- the naive-mapping cap trips as the reference does --------------- *)
@@ -378,11 +359,13 @@ let test_mapping_cap_parity () =
 (* No session reads a plan's depth buckets or root relations (sessions
    build structures with [image] and [image_slot]), so a patch that
    broke them would pass every session oracle: compare a patched plan
-   with a fresh [prepare], structure by structure, under both orders. *)
+   with a fresh [prepare], structure by structure, under both orders.
+   Distinct closes ride along: they patch the symtab, not the facts. *)
 
 type fact_op =
   | Insert of Cw_database.fact
   | Retract of int  (* index into the current facts *)
+  | Distinct of string * string
 
 let show_fact f =
   Printf.sprintf "%s(%s)" f.Cw_database.pred (String.concat ", " f.args)
@@ -396,7 +379,8 @@ let print_patch_case (constants, facts, distinct, ops) =
        (List.map
           (function
             | Insert f -> "insert " ^ show_fact f
-            | Retract i -> Printf.sprintf "retract #%d" i)
+            | Retract i -> Printf.sprintf "retract #%d" i
+            | Distinct (a, b) -> Printf.sprintf "distinct %s/%s" a b)
           ops))
 
 (* The nullary [Z] lives in the root relations; [P(c0)], whose largest
@@ -418,7 +402,12 @@ let gen_patch_case =
   let* distinct = list_size (int_bound 3) (pair c c) in
   let* ops =
     list_size (int_range 1 12)
-      (oneof [ map (fun f -> Insert f) fact; map (fun i -> Retract i) nat ])
+      (oneof
+         [
+           map (fun f -> Insert f) fact;
+           map (fun i -> Retract i) nat;
+           map2 (fun a b -> Distinct (a, b)) c c;
+         ])
   in
   return
     ( constants,
@@ -475,6 +464,11 @@ let fact_patch_matches_prepare =
           | fs ->
             let f = List.nth fs (i mod List.length fs) in
             (Cw_database.remove_fact db f, Iscan.remove_fact plan f))
+        | Distinct (a, b) ->
+          if a = b || Cw_database.are_distinct db a b then (db, plan)
+          else
+            let db = Cw_database.add_distinct db a b in
+            (db, Iscan.with_axioms plan db)
       in
       let db, plan = List.fold_left step (db0, plan0) ops in
       match
@@ -486,6 +480,16 @@ let fact_patch_matches_prepare =
       | None, Some what ->
         QCheck2.Test.fail_reportf "the original plan changed: %s differs" what
       | None, None -> true)
+
+(* A merge re-codes the constants, so an axiom patch must refuse it. *)
+let test_axiom_patch_refuses_recoding () =
+  let plan = Iscan.prepare socrates in
+  let merged =
+    Cw_database.merge_constants socrates ~keep:"plato" ~drop:"mystery"
+  in
+  match Iscan.with_axioms plan merged with
+  | _ -> Alcotest.fail "with_axioms accepted a database with other constants"
+  | exception Invalid_argument _ -> ()
 
 let suite =
   [
@@ -512,4 +516,6 @@ let suite =
     Alcotest.test_case "naive-mapping cap parity" `Quick
       test_mapping_cap_parity;
     Support.qcheck_case fact_patch_matches_prepare;
+    Alcotest.test_case "axiom patch refuses a re-coded database" `Quick
+      test_axiom_patch_refuses_recoding;
   ]

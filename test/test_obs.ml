@@ -1,6 +1,6 @@
 (* The observability layer: span nesting, counter aggregation, ring
    buffer semantics, sink plumbing, JSON-lines output — and the
-   regression tying the engine's stats record to the per-domain trace
+   regression tying the engine's stats record to the trace
    counters. *)
 
 open Logicaldb
@@ -306,9 +306,8 @@ let test_json_escaping () =
 
 (* --- the stats/trace regression ------------------------------------ *)
 
-(* A database large enough that a domains=4 scan actually distributes
-   chunks: 8 constants, 4 of them unseparated (many kernel
-   partitions). *)
+(* A database with many kernel partitions: 8 constants, 4 of them
+   unseparated. *)
 let regression_db () =
   database
     ~predicates:[ ("P", 1); ("R", 2) ]
@@ -324,82 +323,105 @@ let regression_db () =
     ~distinct:[ ("a", "b"); ("a", "c"); ("b", "c"); ("c", "d") ]
     ()
 
+(* Every entry point runs exactly one [certain.scan] span, directly
+   under its own span, and the counters the trace carries — all from
+   the calling domain — equal the stats record the call returns. *)
 let test_stats_match_trace_counters () =
   let db = regression_db () in
-  let q = query "(x). ~P(x)" in
-  let (_, stats), evs, buf =
-    collect (fun () -> Certain.answer_stats ~domains:4 db q)
+  let open_query = query "(x). ~P(x)" in
+  let sentence = query "(). exists x. R(x, x)" in
+  let check_entry entry run =
+    let stats, evs, buf = collect run in
+    let label what = Printf.sprintf "%s: %s" entry what in
+    Alcotest.(check int) (label "no events dropped") 0 (Obs.dropped buf);
+    let by_domain = Obs.counters_by_domain evs in
+    List.iter
+      (fun (name, per) ->
+        Alcotest.(check int)
+          (label (name ^ " comes from one domain"))
+          1 (List.length per))
+      by_domain;
+    let total name =
+      match List.assoc_opt name by_domain with
+      | None -> 0
+      | Some per -> List.fold_left (fun acc (_, v) -> acc + v) 0 per
+    in
+    Alcotest.(check int) (label "stats.structures = certain.structures")
+      stats.Certain.structures (total "certain.structures");
+    Alcotest.(check int) (label "stats.evaluations = certain.evaluations")
+      stats.Certain.evaluations (total "certain.evaluations");
+    Alcotest.(check int) (label "stats.pruned_candidates = certain.pruned")
+      stats.Certain.pruned_candidates (total "certain.pruned");
+    Alcotest.(check int) (label "stats.early_exit = certain.early_exit")
+      (if stats.Certain.early_exit then 1 else 0)
+      (total "certain.early_exit");
+    let opens = span_opens evs in
+    let entry_ids =
+      List.filter_map
+        (fun (name, id, _) -> if name = entry then Some id else None)
+        opens
+    in
+    match
+      ( entry_ids,
+        List.filter (fun (name, _, _) -> name = "certain.scan") opens )
+    with
+    | [ entry_id ], [ (_, _, parent) ] ->
+      Alcotest.(check (option int))
+        (label "the scan nests under the entry point") (Some entry_id) parent
+    | entries, scans ->
+      Alcotest.failf "%s: %d entry and %d certain.scan spans, want one each"
+        entry (List.length entries) (List.length scans)
   in
-  Alcotest.(check int) "no events dropped" 0 (Obs.dropped buf);
-  let by_domain = Obs.counters_by_domain evs in
-  let total name =
-    match List.assoc_opt name by_domain with
-    | None -> 0
-    | Some per -> List.fold_left (fun acc (_, v) -> acc + v) 0 per
-  in
-  Alcotest.(check int)
-    "stats.structures = sum of per-domain certain.structures"
-    stats.Certain.structures
-    (total "certain.structures");
-  Alcotest.(check int)
-    "stats.evaluations = sum of per-domain certain.evaluations"
-    stats.Certain.evaluations
-    (total "certain.evaluations");
-  Alcotest.(check int)
-    "stats.pruned_candidates = certain.pruned"
-    stats.Certain.pruned_candidates (total "certain.pruned");
-  Alcotest.(check int)
-    "stats.early_exit = certain.early_exit"
-    (if stats.Certain.early_exit then 1 else 0)
-    (total "certain.early_exit");
-  Alcotest.(check bool)
-    "parallel scan requested at least two domains" true
-    (stats.Certain.domains_used >= 2);
-  (* The same equalities must hold for a sequential scan. *)
-  let (_, seq_stats), seq_evs, _ =
-    collect (fun () -> Certain.answer_stats db q)
-  in
-  Alcotest.(check int)
-    "sequential structures match too"
-    seq_stats.Certain.structures
-    (List.fold_left
-       (fun acc ev ->
-         match ev with
-         | Obs.Count { name = "certain.structures"; value; _ } -> acc + value
-         | _ -> acc)
-       0 seq_evs);
-  Alcotest.(check int) "sequential domains_used" 1 seq_stats.Certain.domains_used
+  check_entry "certain.answer" (fun () ->
+      snd (Certain.answer_stats db open_query));
+  check_entry "certain.possible_answer" (fun () ->
+      snd (Certain.possible_answer_stats db open_query));
+  check_entry "certain.member" (fun () ->
+      snd (Certain.certain_member_stats db open_query [ "u2" ]));
+  check_entry "certain.boolean" (fun () ->
+      snd (Certain.certain_boolean_stats db sentence));
+  check_entry "certain.possible_boolean" (fun () ->
+      snd (Certain.possible_boolean_stats db sentence));
+  let prepared = Certain.prepare db open_query in
+  check_entry "certain.answer" (fun () ->
+      snd (Certain.prepared_answer_stats prepared))
 
-let test_parallel_equals_sequential_under_trace () =
-  (* Tracing must not perturb results. *)
+let test_tracing_does_not_change_answers () =
   let db = regression_db () in
   let q = query "(x). exists y. R(x, y)" in
   let bare = Certain.answer db q in
-  let traced, _, _ = collect (fun () -> Certain.answer ~domains:4 db q) in
+  let traced, _, _ = collect (fun () -> Certain.answer db q) in
   Alcotest.(check bool) "same answer" true (Relation.equal bare traced)
 
 (* --- sink hardening ------------------------------------------------- *)
 
+(* A sink that raises on its [after]-th event must be caught, counted
+   once and disabled in place, leaving the engine's answer unchanged —
+   whichever event it fails on: the entry point's, the seed's or the
+   scan's. *)
 let test_raising_sink_is_contained () =
-  (* A sink whose emit raises from worker domains must be caught,
-     counted and disabled — the parallel engine's verdict unchanged. *)
   let db = regression_db () in
   let q = query "(x). exists y. R(x, y)" in
   let bare = Certain.answer db q in
-  let errors_before = Obs.sink_errors () in
-  let result, disabled_mid_run =
-    Obs.with_sink
-      (Faults.raising_sink ())
-      (fun () ->
-        let r = Certain.answer ~domains:4 db q in
-        (r, not (Obs.enabled ())))
-  in
-  Alcotest.(check bool) "same answer under a raising sink" true
-    (Relation.equal bare result);
-  Alcotest.(check bool) "failed sink was disabled in place" true
-    disabled_mid_run;
-  Alcotest.(check bool) "errors were counted" true
-    (Obs.sink_errors () > errors_before)
+  let _, evs, _ = collect (fun () -> Certain.answer db q) in
+  List.iter
+    (fun after ->
+      let label what = Printf.sprintf "%s (raising on event %d)" what after in
+      let errors_before = Obs.sink_errors () in
+      let result, disabled_mid_run =
+        Obs.with_sink
+          (Faults.raising_sink ~after ())
+          (fun () ->
+            let r = Certain.answer db q in
+            (r, not (Obs.enabled ())))
+      in
+      Alcotest.(check bool) (label "same answer under a raising sink") true
+        (Relation.equal bare result);
+      Alcotest.(check bool) (label "failed sink was disabled in place") true
+        disabled_mid_run;
+      Alcotest.(check int) (label "the error was counted once")
+        (errors_before + 1) (Obs.sink_errors ()))
+    (List.init (List.length evs) Fun.id)
 
 let test_raising_flush_is_contained () =
   (* after:max_int — emit stays healthy, only the uninstall flush
@@ -425,11 +447,11 @@ let suite =
     Alcotest.test_case "tee duplicates the stream" `Quick test_tee;
     Alcotest.test_case "jsonl output is parseable" `Quick test_jsonl_parseable;
     Alcotest.test_case "json escaping" `Quick test_json_escaping;
-    Alcotest.test_case "stats equal per-domain trace counters (domains=4)"
-      `Quick test_stats_match_trace_counters;
+    Alcotest.test_case "stats equal per-domain trace counters" `Quick
+      test_stats_match_trace_counters;
     Alcotest.test_case "tracing does not change answers" `Quick
-      test_parallel_equals_sequential_under_trace;
-    Alcotest.test_case "raising sink under domains=4 is contained" `Quick
+      test_tracing_does_not_change_answers;
+    Alcotest.test_case "raising sink on any scan event is contained" `Quick
       test_raising_sink_is_contained;
     Alcotest.test_case "raising flush is contained" `Quick
       test_raising_flush_is_contained;

@@ -1,14 +1,13 @@
 (* The resilience layer: budget validation, qualified degradation
-   under each policy, determinism of capped scans across worker counts
-   and structure orders, deadline trips, and seeded fault injection. *)
+   under each policy, determinism of capped scans across runs and
+   structure orders, deadline trips, and seeded fault injection. *)
 
 open Logicaldb
 
 let relation = Support.relation_testable
 
 (* Eight constants, four of them unseparated: enough kernel partitions
-   that a small structure cap always trips before the scan finishes,
-   and a domains=4 scan actually distributes chunks. *)
+   that a small structure cap always trips before the scan finishes. *)
 let big_db () =
   database
     ~predicates:[ ("P", 1); ("R", 2) ]
@@ -173,30 +172,27 @@ let test_timeout_trips_deadline () =
 
 (* --- determinism of capped scans ------------------------------------ *)
 
-(* Same budget, same order: the positional structure-cap truncation
-   must yield the identical qualified result and structures stat
-   whatever the worker-domain count and (for the order-independent
-   Approx fallback) whatever the structure order. *)
+(* Same budget: the positional structure-cap truncation must yield the
+   identical qualified result and structures stat on every run and
+   (for the order-independent Approx fallback) whatever the structure
+   order. *)
 
 let capped = Budget.make ~max_structures:3 ()
 
-let run_approx ~domains ~order db q =
-  Resilient.answer_stats ~policy:Resilient.Approx ~budget:capped ~domains ~order
-    db q
+let run_approx ~order db q =
+  Resilient.answer_stats ~policy:Resilient.Approx ~budget:capped ~order db q
 
 let test_approx_determinism_across_schedules () =
   let db = big_db () and q = certain_query () in
   let configs =
     [
-      (1, Certain.Fresh_first);
-      (4, Certain.Fresh_first);
-      (1, Certain.Merge_first);
-      (4, Certain.Merge_first);
+      Certain.Fresh_first;
+      Certain.Fresh_first;
+      Certain.Merge_first;
+      Certain.Merge_first;
     ]
   in
-  let outcomes =
-    List.map (fun (domains, order) -> run_approx ~domains ~order db q) configs
-  in
+  let outcomes = List.map (fun order -> run_approx ~order db q) configs in
   let structures (_, stats) =
     match stats.Resilient.scan with
     | Some scan -> scan.Certain.structures
@@ -220,21 +216,32 @@ let test_approx_determinism_across_schedules () =
       rest
   | [] -> assert false
 
-let test_partial_determinism_across_domains () =
+(* The Partial upper bound is the survivor set of exactly the admitted
+   prefix: the reference's answer over the first [structures] structures
+   of the enumeration, the same on every run. *)
+let test_partial_determinism () =
   let db = big_db () and q = pruning_query () in
-  let run domains =
-    Resilient.answer_stats ~policy:Resilient.Partial ~budget:capped ~domains db q
+  let run () =
+    Resilient.answer_stats ~policy:Resilient.Partial ~budget:capped db q
   in
-  let r1, s1 = run 1 and r4, s4 = run 4 in
-  (match (r1, r4) with
+  let r1, s1 = run () and r2, s2 = run () in
+  let structures =
+    match (s1.Resilient.scan, s2.Resilient.scan) with
+    | Some a, Some b ->
+      Alcotest.(check int) "same structures stat" a.Certain.structures
+        b.Certain.structures;
+      a.Certain.structures
+    | _ -> Alcotest.fail "scan stats missing"
+  in
+  match (r1, r2) with
   | Resilient.Upper_bound a, Resilient.Upper_bound b ->
-    Alcotest.check relation "same survivor set" a b
-  | _ -> Alcotest.fail "capped Partial scan did not degrade");
-  match (s1.Resilient.scan, s4.Resilient.scan) with
-  | Some a, Some b ->
-    Alcotest.(check int) "same structures stat" a.Certain.structures
-      b.Certain.structures
-  | _ -> Alcotest.fail "scan stats missing"
+    Alcotest.check relation "same survivor set" a b;
+    Alcotest.check relation "survivors of the admitted prefix"
+      (Fuzz_reference.answer_in
+         (Seq.take structures (Fuzz_reference.structures db))
+         db q)
+      a
+  | _ -> Alcotest.fail "capped Partial scan did not degrade"
 
 (* --- fault injection ------------------------------------------------ *)
 
@@ -245,7 +252,7 @@ let test_fault_degrades_not_crashes () =
      scan. Approx must absorb it into the fallback... *)
   let result, stats =
     Faults.with_faults ~seed:11 ~rate:1.0 (fun () ->
-        Resilient.answer_stats ~policy:Resilient.Approx ~domains:2 db q)
+        Resilient.answer_stats ~policy:Resilient.Approx db q)
   in
   (match result with
   | Resilient.Lower_bound r ->
@@ -266,7 +273,7 @@ let test_fault_determinism () =
   let db = big_db () and q = certain_query () in
   let run () =
     Faults.with_faults ~seed:4242 ~rate:0.3 (fun () ->
-        Resilient.answer_stats ~policy:Resilient.Approx ~domains:1 db q)
+        Resilient.answer_stats ~policy:Resilient.Approx db q)
   in
   let r1, s1 = run () and r2, s2 = run () in
   (match (r1, r2) with
@@ -406,8 +413,8 @@ let suite =
       test_timeout_trips_deadline;
     Alcotest.test_case "capped Approx scan is deterministic across schedules"
       `Quick test_approx_determinism_across_schedules;
-    Alcotest.test_case "capped Partial scan is deterministic across domains"
-      `Quick test_partial_determinism_across_domains;
+    Alcotest.test_case "capped Partial scan is deterministic" `Quick
+      test_partial_determinism;
     Alcotest.test_case "injected worker fault degrades, never crashes" `Quick
       test_fault_degrades_not_crashes;
     Alcotest.test_case "fault injection is deterministic per seed" `Quick

@@ -158,6 +158,21 @@ let test_roundtrip () =
               check_code "unknown kernel name" "semantic_error"
                 (query ~extra:[ ("kernel", J.Str "jit") ] c "g"
                    "(x, y). TEACHES(x, y)");
+              (* "domains" is not read: it is ignored like any unknown
+                 field, even at a value the decoder once rejected *)
+              List.iter
+                (fun d ->
+                  let r =
+                    query ~extra:[ ("domains", J.Num d) ] c "g"
+                      "(x, y). TEACHES(x, y)"
+                  in
+                  let what = Printf.sprintf "domains %g" d in
+                  check_code what "ok" r;
+                  Alcotest.(check (list (list string)))
+                    what
+                    [ [ "socrates"; "plato" ] ]
+                    (rows r))
+                [ 4.; 0. ];
               let r = boolean c "g" "(). TEACHES(socrates, plato)" in
               check_code "boolean ok" "ok" r;
               Alcotest.(check (option bool))
