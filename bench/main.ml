@@ -84,10 +84,6 @@ let micro_tests () =
       (stage (fun () ->
            Vardi_certain.Sampling.boolean ~samples:8 ~seed:1 db_small
              Workloads.negative_sentence));
-    Test.make ~name:"abl/naive-exact"
-      (stage (fun () ->
-           Certain.certain_boolean ~algorithm:Certain.Naive_mappings db_tiny
-             Workloads.negative_sentence));
     Test.make ~name:"abl/algebra-backend"
       (stage (fun () -> Approx.answer ~backend:Approx.Algebra db_medium q));
     Test.make ~name:"abl/optimized-backend"

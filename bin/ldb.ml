@@ -142,19 +142,6 @@ let engine_arg =
     & opt (enum [ ("exact", Exact); ("approx", Approximate); ("possible", Possible) ]) Exact
     & info [ "engine"; "e" ] ~docv:"ENGINE" ~doc)
 
-let algorithm_arg =
-  let doc = "Exact algorithm: $(b,partitions) or $(b,naive)." in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("partitions", Certain.Kernel_partitions);
-             ("naive", Certain.Naive_mappings);
-           ])
-        Certain.Kernel_partitions
-    & info [ "algorithm" ] ~docv:"ALGO" ~doc)
-
 (* Deprecated: there is one evaluation kernel. The flag still parses
    the three historical names (and rejects anything else with exit 2)
    so existing scripts keep working; the value selects nothing. *)
@@ -384,14 +371,14 @@ let print_qualified_note = function
     Fmt.pr "(upper bound: unrefuted survivors of the interrupted scan)@."
   | Resilient.Exhausted -> ()
 
-let run_resilient db q ~policy ~algorithm ~stats ~budget =
+let run_resilient db q ~policy ~stats ~budget =
   let exhausted () =
     Fmt.epr "budget exhausted (%s)@." (Budget.to_string budget);
     124
   in
   if Query.is_boolean q then begin
     let result, rstats =
-      Resilient.boolean_stats ~policy ~algorithm ~budget db q
+      Resilient.boolean_stats ~policy ~budget db q
     in
     let status =
       match result with
@@ -407,7 +394,7 @@ let run_resilient db q ~policy ~algorithm ~stats ~budget =
   end
   else begin
     let result, rstats =
-      Resilient.answer_stats ~policy ~algorithm ~budget db q
+      Resilient.answer_stats ~policy ~budget db q
     in
     let status =
       match result with
@@ -454,7 +441,7 @@ let print_plan db q engine =
   Fmt.pr "@."
 
 let query_cmd =
-  let run path query_text engine algorithm (_ : Certain.kernel) backend
+  let run path query_text engine (_ : Certain.kernel) backend
       explain stats trace metrics timeout max_structures
       max_evaluations policy =
     let status = ref 0 in
@@ -489,18 +476,18 @@ let query_cmd =
                possible engines take no budget)@.";
             exit 2
           end;
-          status := run_resilient db q ~policy ~algorithm ~stats ~budget
+          status := run_resilient db q ~policy ~stats ~budget
         end
         else begin
         if Query.is_boolean q then begin
           let verdict, counters =
             match engine with
             | Exact ->
-              let v, s = Certain.certain_boolean_stats ~algorithm db q in
+              let v, s = Certain.certain_boolean_stats db q in
               (v, Some s)
             | Approximate -> (Approx.boolean db q, None)
             | Possible ->
-              let v, s = Certain.possible_boolean_stats ~algorithm db q in
+              let v, s = Certain.possible_boolean_stats db q in
               (v, Some s)
           in
           Fmt.pr "%b@." verdict;
@@ -511,11 +498,11 @@ let query_cmd =
           let answer, counters =
             match engine with
             | Exact ->
-              let r, s = Certain.answer_stats ~algorithm db q in
+              let r, s = Certain.answer_stats db q in
               (r, Some s)
             | Approximate -> (Approx.answer ~backend db q, None)
             | Possible ->
-              let r, s = Certain.possible_answer_stats ~algorithm db q in
+              let r, s = Certain.possible_answer_stats db q in
               (r, Some s)
           in
           print_relation answer;
@@ -541,10 +528,9 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc)
     Cterm.(
-      const run $ db_arg $ query_arg $ engine_arg $ algorithm_arg
-      $ kernel_arg $ backend_arg $ explain_arg $ stats_arg
-      $ trace_arg $ metrics_arg $ timeout_arg $ max_structures_arg
-      $ max_evaluations_arg $ policy_arg)
+      const run $ db_arg $ query_arg $ engine_arg $ kernel_arg $ backend_arg
+      $ explain_arg $ stats_arg $ trace_arg $ metrics_arg $ timeout_arg
+      $ max_structures_arg $ max_evaluations_arg $ policy_arg)
 
 (* --- compile --- *)
 
@@ -764,8 +750,8 @@ let fuzz_cmd =
   in
   let doc =
     "Differential fuzzing of the engines with theorem-level oracles: random \
-     (LB, Q) instances run through the exact engine (both algorithms and \
-     orderings), the Section 5 approximation (all \
+     (LB, Q) instances run through the exact engine (both orderings, \
+     against a brute-force reference), the Section 5 approximation (all \
      back ends), and the naive-tables baseline, checking Theorem 11 \
      soundness, Theorem 12/13 completeness, modal duality and parse/print \
      round-trips. Failures are greedily shrunk. Exit status 1 on any \

@@ -10,9 +10,7 @@ module Iplan = Vardi_interned.Iplan
 module Iscan = Vardi_interned.Iscan
 module Icode = Vardi_interned.Icode
 
-type algorithm =
-  | Naive_mappings
-  | Kernel_partitions
+type algorithm = Kernel_partitions
 
 type kernel =
   | Strings
@@ -40,28 +38,23 @@ let validate_tuple = Vardi_cwdb.Query_check.validate_tuple
    under clock adjustment. *)
 let now_ns = Obs.now_ns
 
-(* The structure stream is handed out as construction thunks: forcing
-   the sequence runs only the enumeration step (next partition / next
-   mapping), and the quotient / image-database construction — the
-   expensive part — waits in the thunk until the scan consumes the
-   structure. That is what lets a positional budget cap force the
-   stream one step past the cap, to learn whether work remained,
-   without building a quotient (see [admit_within]), and lets a
-   session substitute cached structures for stream positions (see
-   Iscan). *)
-let plan_thunks algorithm order plan =
-  match algorithm with
-  | Naive_mappings -> Iscan.mapping_thunks plan
-  | Kernel_partitions -> Iscan.structure_thunks ~order plan
-
 (* A pluggable structure stream. The engine's scans only need three
-   things from a plan: its symtab, its structure stream per (algorithm,
-   order), and its discrete seed — so they are bundled here, letting an
-   incremental session substitute cached structures for stream
-   positions (see Vardi_incr.Session) while the engine's scan loop,
-   budget and stats machinery stays oblivious. The positional contract
-   carries over: [source_thunks alg ord] must enumerate the same
-   renaming at every position as the fresh plan's stream would. *)
+   things from a plan: its symtab, its structure stream per order, and
+   its discrete seed — so they are bundled here, letting an incremental
+   session substitute cached structures for stream positions (see
+   Vardi_incr.Session) while the engine's scan loop, budget and stats
+   machinery stays oblivious. The positional contract carries over:
+   [source_thunks _ ord] must enumerate the same renaming at every
+   position as the fresh plan's stream would.
+
+   The stream is handed out as construction thunks: forcing the
+   sequence runs only the enumeration step (the next partition), and
+   the quotient construction — the expensive part — waits in the thunk
+   until the scan consumes the structure. That is what lets a
+   positional budget cap force the stream one step past the cap, to
+   learn whether work remained, without building a quotient (see
+   [admit_within]), and lets a session substitute cached structures for
+   stream positions (see Iscan). *)
 type scan_source = {
   source_plan : Iscan.plan;
   source_thunks : algorithm -> order -> (unit -> Iscan.structure) Seq.t;
@@ -71,23 +64,25 @@ type scan_source = {
 let source_of_plan plan =
   {
     source_plan = plan;
-    source_thunks = (fun algorithm order -> plan_thunks algorithm order plan);
+    source_thunks =
+      (fun Kernel_partitions order -> Iscan.structure_thunks ~order plan);
     source_discrete = (fun () -> Iscan.discrete plan);
   }
+
+let thunks source order = source.source_thunks Kernel_partitions order
 
 let rename_row (rename : int array) (row : int array) =
   Array.map (fun c -> Array.unsafe_get rename c) row
 
-(* With [Fresh_first] kernel enumeration the discrete partition is the
-   stream's first element; entry points that evaluate it separately as
-   a pruning seed drop it from the stream instead of paying for it
-   twice. Other algorithm/order combinations revisit it somewhere in
-   the middle of the stream, which is sound (its filter is a no-op) and
-   costs one extra evaluation. *)
-let rest_after_discrete algorithm order thunks =
-  match (algorithm, order) with
-  | Kernel_partitions, Fresh_first -> Seq.drop 1 thunks
-  | Kernel_partitions, Merge_first | Naive_mappings, _ -> thunks
+(* With [Fresh_first] the discrete partition is the stream's first
+   element; entry points that evaluate it separately as a pruning seed
+   drop it from the stream instead of paying for it twice. [Merge_first]
+   revisits it at the end of the stream, which is sound (its filter is
+   a no-op) and costs one extra evaluation. *)
+let rest_after_discrete order thunks =
+  match order with
+  | Fresh_first -> Seq.drop 1 thunks
+  | Merge_first -> thunks
 
 (* --- budget cooperation ------------------------------------------- *)
 
@@ -199,79 +194,75 @@ let search ~cancel ~target thunks check =
    check (a session's per-query memo); the wrapper sees the same
    structures at the same positions, so stats and positional caps are
    unchanged whether or not it hits. *)
-let decide_member ~target ~algorithm ~order ~cancel lb q tuple =
+let decide_member ~target ~order ~cancel lb q tuple =
   let plan = Iscan.prepare lb in
   let tab = Iscan.symtab plan in
   let codes = Symtab.code_tuple tab tuple in
   let cm = Icode.compile_member tab q in
   search ~cancel ~target
-    (plan_thunks algorithm order plan)
+    (Iscan.structure_thunks ~order plan)
     (fun (s : Iscan.structure) ->
       Icode.run_member s.idb cm (rename_row s.rename codes))
 
-let decide_boolean ~target ~algorithm ~order ~cancel ?wrap_check source body =
+let decide_boolean ~target ~order ~cancel ?wrap_check source body =
   let cs = Icode.compile_sentence (Iscan.symtab source.source_plan) body in
   let check (s : Iscan.structure) = Icode.run_sentence s.idb cs in
   let check = match wrap_check with Some w -> w check | None -> check in
-  search ~cancel ~target (source.source_thunks algorithm order) check
+  search ~cancel ~target (thunks source order) check
 
-let certain_member_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?cancel lb q tuple =
+let certain_member_stats ?(order = Fresh_first) ?cancel lb q tuple =
   validate lb q;
   validate_tuple lb q tuple;
   if Query.is_boolean q then
     invalid_arg "Certain.certain_member: Boolean query; use certain_boolean";
   Obs.span "certain.member" (fun () ->
       let refuted, stats =
-        decide_member ~target:false ~algorithm ~order ~cancel lb q tuple
+        decide_member ~target:false ~order ~cancel lb q tuple
       in
       (not refuted, stats))
 
-let certain_member ?algorithm ?order ?cancel lb q tuple =
-  fst (certain_member_stats ?algorithm ?order ?cancel lb q tuple)
+let certain_member ?order ?cancel lb q tuple =
+  fst (certain_member_stats ?order ?cancel lb q tuple)
 
-let certain_boolean_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?cancel lb q =
+let certain_boolean_stats ?(order = Fresh_first) ?cancel lb q =
   validate lb q;
   if not (Query.is_boolean q) then
     invalid_arg "Certain.certain_boolean: the query has answer variables";
   let body = Query.body q in
   Obs.span "certain.boolean" (fun () ->
       let refuted, stats =
-        decide_boolean ~target:false ~algorithm ~order ~cancel
+        decide_boolean ~target:false ~order ~cancel
           (source_of_plan (Iscan.prepare lb))
           body
       in
       (not refuted, stats))
 
-let certain_boolean ?algorithm ?order ?cancel lb q =
-  fst (certain_boolean_stats ?algorithm ?order ?cancel lb q)
+let certain_boolean ?order ?cancel lb q =
+  fst (certain_boolean_stats ?order ?cancel lb q)
 
-let possible_member_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?cancel lb q tuple =
+let possible_member_stats ?(order = Fresh_first) ?cancel lb q tuple =
   validate lb q;
   validate_tuple lb q tuple;
   if Query.is_boolean q then
     invalid_arg "Certain.possible_member: Boolean query; use possible_boolean";
   Obs.span "certain.possible_member" (fun () ->
-      decide_member ~target:true ~algorithm ~order ~cancel lb q tuple)
+      decide_member ~target:true ~order ~cancel lb q tuple)
 
-let possible_member ?algorithm ?order ?cancel lb q tuple =
-  fst (possible_member_stats ?algorithm ?order ?cancel lb q tuple)
+let possible_member ?order ?cancel lb q tuple =
+  fst (possible_member_stats ?order ?cancel lb q tuple)
 
-let possible_boolean_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?cancel lb q =
+let possible_boolean_stats ?(order = Fresh_first) ?cancel lb q =
   validate lb q;
   if not (Query.is_boolean q) then
     invalid_arg "Certain.possible_boolean: the query has answer variables";
   let body = Query.body q in
   Obs.span "certain.possible_boolean" (fun () ->
-      decide_boolean ~target:true ~algorithm ~order ~cancel
+      decide_boolean ~target:true ~order ~cancel
         (source_of_plan (Iscan.prepare lb))
         body)
 
-let possible_boolean ?algorithm ?order ?cancel lb q =
-  fst (possible_boolean_stats ?algorithm ?order ?cancel lb q)
+let possible_boolean ?order ?cancel lb q =
+  fst (possible_boolean_stats ?order ?cancel lb q)
 
 (* --- whole-answer entry points ------------------------------------ *)
 
@@ -326,7 +317,7 @@ let seed_of ~radix q source image_answer =
 (* [prep] yields the structure source and the per-structure answer
    function — built fresh for a direct call, taken from a prepared
    query otherwise — inside the [certain.prepare] span. *)
-let answer_scan ~algorithm ~order ~cancel ~prep lb q =
+let answer_scan ~order ~cancel ~prep lb q =
   let started = now_ns () in
   let source, image_answer = Obs.span "certain.prepare" prep in
   (* Pruning: the certain answer is contained in the answer over every
@@ -350,8 +341,7 @@ let answer_scan ~algorithm ~order ~cancel ~prep lb q =
       ~stop:(fun () -> Irel.is_empty !survivors)
       consume
       (admit_within cancel ~structures:1 ~evaluations:1
-         (rest_after_discrete algorithm order
-            (source.source_thunks algorithm order)))
+         (rest_after_discrete order (thunks source order)))
   in
   let result = !survivors in
   let early = Irel.is_empty result in
@@ -370,18 +360,17 @@ let fresh_prep lb q () =
   let plan = Iscan.prepare lb in
   (source_of_plan plan, prepare_answer lb (Iscan.symtab plan) q)
 
-let answer_stats ?(algorithm = Kernel_partitions) ?(order = Fresh_first)
-    ?cancel lb q =
+let answer_stats ?(order = Fresh_first) ?cancel lb q =
   validate lb q;
   Obs.span "certain.answer" (fun () ->
-      answer_scan ~algorithm ~order ~cancel ~prep:(fresh_prep lb q) lb q)
+      answer_scan ~order ~cancel ~prep:(fresh_prep lb q) lb q)
 
-let answer ?algorithm ?order ?cancel lb q =
-  fst (answer_stats ?algorithm ?order ?cancel lb q)
+let answer ?order ?cancel lb q =
+  fst (answer_stats ?order ?cancel lb q)
 
-let possible_scan ~algorithm ~order ~cancel ~prep q =
+let possible_scan ~order ~cancel lb q =
   let started = now_ns () in
-  let source, image_answer = Obs.span "certain.prepare" prep in
+  let source, image_answer = Obs.span "certain.prepare" (fresh_prep lb q) in
   let tab = Iscan.symtab source.source_plan in
   (* The candidate relation is built once (not per structure), under
      [Irel.full]'s enumeration cap; the discrete structure's answer is
@@ -407,8 +396,7 @@ let possible_scan ~algorithm ~order ~cancel ~prep q =
       ~stop:(fun () -> Irel.is_empty !unwitnessed)
       consume
       (admit_within cancel ~structures:1 ~evaluations:1
-         (rest_after_discrete algorithm order
-            (source.source_thunks algorithm order)))
+         (rest_after_discrete order (thunks source order)))
   in
   let early = Irel.is_empty !unwitnessed in
   Obs.count "certain.early_exit" (if early then 1 else 0);
@@ -422,14 +410,13 @@ let possible_scan ~algorithm ~order ~cancel ~prep q =
       interrupted = interruption cancel ~decided:early;
     } )
 
-let possible_answer_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?cancel lb q =
+let possible_answer_stats ?(order = Fresh_first) ?cancel lb q =
   validate lb q;
   Obs.span "certain.possible_answer" (fun () ->
-      possible_scan ~algorithm ~order ~cancel ~prep:(fresh_prep lb q) q)
+      possible_scan ~order ~cancel lb q)
 
-let possible_answer ?algorithm ?order ?cancel lb q =
-  fst (possible_answer_stats ?algorithm ?order ?cancel lb q)
+let possible_answer ?order ?cancel lb q =
+  fst (possible_answer_stats ?order ?cancel lb q)
 
 (* --- prepared queries (the plan-cache contract) -------------------- *)
 
@@ -479,33 +466,18 @@ let prepared_prep p () =
     | None ->
       prepare_answer p.p_lb (Iscan.symtab p.p_source.source_plan) p.p_query )
 
-let prepared_answer_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?cancel p =
+let prepared_answer_stats ?(order = Fresh_first) ?cancel p =
   Obs.span "certain.answer" (fun () ->
-      answer_scan ~algorithm ~order ~cancel ~prep:(prepared_prep p) p.p_lb
-        p.p_query)
+      answer_scan ~order ~cancel ~prep:(prepared_prep p) p.p_lb p.p_query)
 
-let prepared_possible_answer_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?cancel p =
-  Obs.span "certain.possible_answer" (fun () ->
-      possible_scan ~algorithm ~order ~cancel ~prep:(prepared_prep p) p.p_query)
-
-let prepared_boolean_decide ~target ~span ~name ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?cancel p =
+let prepared_certain_boolean_stats ?(order = Fresh_first) ?cancel p =
   if not (Query.is_boolean p.p_query) then
-    invalid_arg (Printf.sprintf "Certain.%s: the query has answer variables" name);
+    invalid_arg
+      "Certain.prepared_certain_boolean: the query has answer variables";
   let body = Query.body p.p_query in
-  Obs.span span (fun () ->
-      decide_boolean ~target ~algorithm ~order ~cancel
-        ?wrap_check:p.p_check p.p_source body)
-
-let prepared_certain_boolean_stats ?algorithm ?order ?cancel p =
-  let refuted, stats =
-    prepared_boolean_decide ~target:false ~span:"certain.boolean"
-      ~name:"prepared_certain_boolean" ?algorithm ?order ?cancel p
-  in
-  (not refuted, stats)
-
-let prepared_possible_boolean_stats ?algorithm ?order ?cancel p =
-  prepared_boolean_decide ~target:true ~span:"certain.possible_boolean"
-    ~name:"prepared_possible_boolean" ?algorithm ?order ?cancel p
+  Obs.span "certain.boolean" (fun () ->
+      let refuted, stats =
+        decide_boolean ~target:false ~order ~cancel ?wrap_check:p.p_check
+          p.p_source body
+      in
+      (not refuted, stats))

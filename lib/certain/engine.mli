@@ -4,19 +4,18 @@
     [c ∈ Q(LB)]  iff  [h(c) ∈ Q(h(Ph₁(LB)))] for every [h : C → C]
     that respects [T].
 
-    Two interchangeable algorithms:
-    - {!Naive_mappings} enumerates all [|C|^|C|] mappings — the literal
-      statement of Theorem 1; usable only on tiny databases and kept as
-      a cross-validation reference.
-    - {!Kernel_partitions} quantifies over kernel partitions instead
-      (see {!Vardi_cwdb.Partition}), shrinking the space to at most
-      Bell(|C|) and exploiting uniqueness axioms for pruning. This is
-      the default.
+    Mappings with equal kernels give isomorphic images, so the engine
+    quantifies over kernel partitions instead of mappings (see
+    {!Vardi_cwdb.Partition}): at most Bell(|C|) structures where the
+    literal statement has [|C|^|C|] mappings, with the uniqueness
+    axioms pruning the enumeration tree. That is its only algorithm;
+    the literal mapping enumeration survives as a reference outside the
+    engine ([Vardi_fuzz.Reference], ablation A1).
 
-    Both are exponential in general — necessarily so, since Theorem 5
-    shows the problem co-NP-complete — which is the paper's motivation
-    for the {!Vardi_approx} approximation. The engine makes the
-    exponential sweep as cheap as it can be:
+    The scan is exponential in general — necessarily so, since Theorem
+    5 shows the problem co-NP-complete — which is the paper's
+    motivation for the {!Vardi_approx} approximation. The engine makes
+    the exponential sweep as cheap as it can be:
 
     - {e Pruning}: {!answer} seeds its survivor set from the discrete
       structure's answer (the Ph₁ image) instead of the full [|C|^k]
@@ -69,15 +68,17 @@
     point costs one atomic load; the counters equal the corresponding
     {!stats} fields exactly — the test suite enforces this. *)
 
-type algorithm =
-  | Naive_mappings
-  | Kernel_partitions
+(** Deprecated: the name of the one algorithm, kernel partitions. No
+    entry point takes an algorithm; the type survives only as the first
+    argument of {!scan_source.source_thunks}, so that sources written
+    against it keep compiling. *)
+type algorithm = Kernel_partitions
 
-(** Structure-visit order for [Kernel_partitions] (ignored by
-    [Naive_mappings]): [Fresh_first] visits the discrete partition
-    first; [Merge_first] visits heavily-merged partitions first, which
-    finds countermodels faster when they require merging many unknowns
-    (ablation A4). Default: [Fresh_first]. *)
+(** Structure-visit order of the partition enumeration: [Fresh_first]
+    visits the discrete partition first; [Merge_first] visits
+    heavily-merged partitions first, which finds countermodels faster
+    when they require merging many unknowns (ablation A4). Default:
+    [Fresh_first]. *)
 type order = Vardi_cwdb.Partition.order =
   | Fresh_first
   | Merge_first
@@ -96,8 +97,7 @@ type kernel =
 
 (** Work counters for the complexity experiments and the CLI. *)
 type stats = {
-  structures : int;
-    (** image databases examined (mappings or partitions) *)
+  structures : int;  (** quotient structures (partitions) examined *)
   evaluations : int;  (** query evaluations performed *)
   early_exit : bool;
     (** the scan was decided before exhausting the structure space: a
@@ -125,7 +125,7 @@ type stats = {
         layer that turns interrupted scans into qualified answers. *)
 }
 
-(** [certain_member ?algorithm ?order lb q c] decides
+(** [certain_member ?order lb q c] decides
     [c ∈ Q(LB)], with early exit on the first countermodel.
 
     @raise Invalid_argument when [c]'s length differs from the query
@@ -133,7 +133,6 @@ type stats = {
     query mentions a predicate or constant outside the vocabulary of
     [LB], or when the query head is empty (use {!certain_boolean}). *)
 val certain_member :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -142,7 +141,6 @@ val certain_member :
   bool
 
 val certain_member_stats :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -150,13 +148,12 @@ val certain_member_stats :
   string list ->
   bool * stats
 
-(** [certain_boolean ?algorithm ?order lb q] decides
+(** [certain_boolean ?order lb q] decides
     [T ⊨f φ] for a Boolean query [(). φ] — [LAS(Q)] membership for
     Boolean queries.
     @raise Invalid_argument if the query is not Boolean or mentions
     symbols outside the vocabulary. *)
 val certain_boolean :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -164,20 +161,18 @@ val certain_boolean :
   bool
 
 val certain_boolean_stats :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   bool * stats
 
-(** [answer ?algorithm ?order lb q] is the full certain answer
+(** [answer ?order lb q] is the full certain answer
     [Q(LB)], a relation over the constant set [C]. The survivor set is
     seeded from the discrete structure's answer (never the full [C^k]
     relation) and each further structure pays one evaluation of the
     pre-compiled plan; the scan stops once the survivor set empties. *)
 val answer :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -185,7 +180,6 @@ val answer :
   Vardi_relational.Relation.t
 
 val answer_stats :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -203,7 +197,6 @@ val answer_stats :
     question. *)
 
 val possible_member :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -212,7 +205,6 @@ val possible_member :
   bool
 
 val possible_member_stats :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -221,7 +213,6 @@ val possible_member_stats :
   bool * stats
 
 val possible_boolean :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -229,21 +220,19 @@ val possible_boolean :
   bool
 
 val possible_boolean_stats :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   bool * stats
 
-(** [possible_answer ?algorithm ?order lb q] is the union over
+(** [possible_answer ?order lb q] is the union over
     all structures of the admitted tuples. The candidate relation is
     materialized once (guarded by {!Vardi_relational.Relation.full}'s
     enumeration cap), the found set is seeded from the discrete
     structure, and the scan stops as soon as every candidate is
     found. *)
 val possible_answer :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -251,7 +240,6 @@ val possible_answer :
   Vardi_relational.Relation.t
 
 val possible_answer_stats :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -288,18 +276,19 @@ val prepare : Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> prepared
 (** {1 Pluggable structure sources}
 
     An interned scan only needs three things from its plan: the symtab,
-    the structure stream per (algorithm, order), and the discrete seed.
+    the structure stream per order, and the discrete seed.
     A {!scan_source} bundles them, so a caller that {e owns} structures
     across calls — the incremental session ([Vardi_incr.Session]) with
     its partition-tree cache — can substitute cached structures for
     stream positions while the engine's scan loop, budget and stats
     machinery stays oblivious.
 
-    Contract: [source_thunks alg ord] must yield, at every position,
-    the same renaming that [Iscan.structure_thunks] (resp.
-    [mapping_thunks]) over [source_plan] would yield there — that is
-    what keeps positional budget caps and stats identical between a
-    cached and a fresh scan (see {!Vardi_interned.Iscan.renamings}). *)
+    Contract: [source_thunks Kernel_partitions ord] must yield, at
+    every position, the same renaming that [Iscan.structure_thunks
+    ~order:ord] over [source_plan] would yield there — that is what
+    keeps positional budget caps and stats identical between a cached
+    and a fresh scan (see {!Vardi_interned.Iscan.renamings}). Its first
+    argument is always [Kernel_partitions] (see {!algorithm}). *)
 type scan_source = {
   source_plan : Vardi_interned.Iscan.plan;
   source_thunks :
@@ -317,7 +306,7 @@ val source_of_plan : Vardi_interned.Iscan.plan -> scan_source
     image-answer function (a session's per-query result memo, which
     stores the {!Vardi_interned.Icode.answer} as computed — packed
     keys, not unpacked rows); [wrap_check] likewise wraps the Boolean
-    per-structure check used by the prepared Boolean deciders. Wrappers
+    per-structure check used by {!prepared_certain_boolean_stats}. Wrappers
     see the same structures at the same stream positions as the
     unwrapped scan, so memo hits change no stats and move no budget
     caps.
@@ -343,14 +332,6 @@ val prepared_query : prepared -> Vardi_logic.Query.t
     prepared plan — same results, same stats, same spans, minus the
     per-call preparation cost. *)
 val prepared_answer_stats :
-  ?algorithm:algorithm ->
-  ?order:order ->
-  ?cancel:Cancel.t ->
-  prepared ->
-  Vardi_relational.Relation.t * stats
-
-val prepared_possible_answer_stats :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   prepared ->
@@ -360,14 +341,6 @@ val prepared_possible_answer_stats :
     through the prepared plan.
     @raise Invalid_argument if the prepared query is not Boolean. *)
 val prepared_certain_boolean_stats :
-  ?algorithm:algorithm ->
-  ?order:order ->
-  ?cancel:Cancel.t ->
-  prepared ->
-  bool * stats
-
-val prepared_possible_boolean_stats :
-  ?algorithm:algorithm ->
   ?order:order ->
   ?cancel:Cancel.t ->
   prepared ->

@@ -42,8 +42,9 @@ type t = {
 
 let pair_count n = n * (n - 1) / 2
 
-(* Bit of the pair [i < j]: rows 0..i-1 hold (n-1) + ... + (n-i) bits. *)
-let bit_index n i j = (i * ((2 * n) - i - 1) / 2) + (j - i - 1)
+(* Bit of the pair [i < j]: rows 0..i-1 hold (n-1) + ... + (n-i) bits.
+   The product is never negative, so a shift halves it. *)
+let bit_index n i j = ((i * ((2 * n) - i - 1)) lsr 1) + (j - i - 1)
 
 let test_bit bits k =
   Char.code (Bytes.get bits (k lsr 3)) land (1 lsl (k land 7)) <> 0
@@ -60,10 +61,13 @@ let set_bit bits k =
 
 let constant_count db = Array.length db.names
 
-let distinct_ranks db i j =
-  let n = constant_count db in
-  if i < j then test_bit db.bits (bit_index n i j)
-  else j < i && test_bit db.bits (bit_index n j i)
+(* Whether the ranks [i] and [j] of [n] constants carry an axiom in
+   [bits]. *)
+let distinct_in n bits i j =
+  if i < j then test_bit bits (bit_index n i j)
+  else j < i && test_bit bits (bit_index n j i)
+
+let distinct_ranks db i j = distinct_in (constant_count db) db.bits i j
 
 let check_constant ranks msg c =
   if not (Ranks.mem ranks c) then invalid_arg (Printf.sprintf msg c)
@@ -303,6 +307,35 @@ let merge_constants db ~keep ~drop =
   { merged with facts; fact_count = Fact_set.cardinal facts }
 
 let size db = db.fact_count + db.pairs + constant_count db
+
+(* Three fields the database never mutates once it is returned, and no
+   facts: a coding held across fact deltas keeps no old fact set
+   alive. *)
+module Coding = struct
+  type t = {
+    names : string array;
+    ranks : int Ranks.t;
+    bits : Bytes.t;
+  }
+
+  let size c = Array.length c.names
+  let name c r = c.names.(r)
+  let rank c name = Ranks.find c.ranks name
+  let rank_opt c name = Ranks.find_opt c.ranks name
+
+  (* A loop of its own: the partition enumeration pays one call per
+     block rather than one per member. *)
+  let rec distinct_from_list n bits i = function
+    | [] -> false
+    | j :: rest -> distinct_in n bits i j || distinct_from_list n bits i rest
+
+  let distinct_from_any c i members =
+    distinct_from_list (Array.length c.names) c.bits i members
+
+  let same_constants a b = a.names == b.names || a.names = b.names
+end
+
+let coding db = { Coding.names = db.names; ranks = db.ranks; bits = db.bits }
 
 let equal a b =
   Vocabulary.equal a.vocabulary b.vocabulary

@@ -25,7 +25,7 @@
     - {!fully_specify}: an O(n²/8) fill;
     - {!add_distinct}: O(1) when the axiom is present, else an
       O(n²/8) copy of the matrix;
-    - {!fact_count}: O(1);
+    - {!fact_count}, {!coding}: O(1);
     - {!facts_of}: O(log F) plus the predicate's facts;
     - {!mem_fact}, {!add_fact}, {!remove_fact}: O(log F);
     - {!make}, {!make_interned}: O(n log n + F log F + D);
@@ -150,6 +150,41 @@ val merge_constants : t -> keep:string -> drop:string -> t
 (** Size of the database: number of facts plus uniqueness axioms plus
     constants — the data-complexity measure's input size. *)
 val size : t -> int
+
+(** {1 Rank coding}
+
+    The constants by rank and the uniqueness axioms over ranks, without
+    the facts: what an integer-coded evaluator needs to code constants
+    and test axioms (see [Vardi_interned.Symtab]). A coding refers to
+    the database's own sorted name array, rank table and bit matrix,
+    which are never mutated once the database is returned, so taking
+    one copies nothing, and holding one keeps no fact set alive. *)
+module Coding : sig
+  type t
+
+  (** Number of constants; ranks are [0 .. size - 1]. *)
+  val size : t -> int
+
+  (** [name c r] is the constant of rank [r]. *)
+  val name : t -> int -> string
+
+  (** [rank c name] is [name]'s index among the sorted constants.
+      @raise Not_found when [name] is not a constant. *)
+  val rank : t -> string -> int
+
+  val rank_opt : t -> string -> int option
+
+  (** [distinct_from_any c i ranks] iff the constant of rank [i]
+      carries a uniqueness axiom with the constant of some rank in
+      [ranks]: one bit test per rank, [false] for [i] itself. *)
+  val distinct_from_any : t -> int -> int list -> bool
+
+  (** [same_constants a b] iff [a] and [b] rank the same constants. *)
+  val same_constants : t -> t -> bool
+end
+
+(** [coding db] is [db]'s rank coding: O(1). *)
+val coding : t -> Coding.t
 
 val equal : t -> t -> bool
 val pp : t Fmt.t

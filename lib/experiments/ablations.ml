@@ -4,6 +4,20 @@ module Translate = Vardi_approx.Translate
 module Mapping = Vardi_cwdb.Mapping
 module Partition = Vardi_cwdb.Partition
 module Relation = Vardi_relational.Relation
+module Eval = Vardi_relational.Eval
+
+(* [body] quantified over [images] as the exact scan quantifies it:
+   stop at the first countermodel. Returns the verdict and the number
+   of images visited. *)
+let certain_over images body =
+  let rec go visited seq =
+    match seq () with
+    | Seq.Nil -> (true, visited)
+    | Seq.Cons (image, rest) ->
+      if Eval.satisfies image body then go (visited + 1) rest
+      else (false, visited + 1)
+  in
+  go 0 images
 
 let a1 () =
   let rows =
@@ -13,36 +27,39 @@ let a1 () =
         let db =
           Workloads.parametric_db ~constants ~unknowns:constants ~seed:3
         in
-        (* A certainly-true positive sentence: both engines must scan
-           their whole structure space (no early exit), making the
-           'visited' columns comparable. *)
+        (* A certainly-true positive sentence: both enumerations must be
+           scanned whole (no early exit), making the 'visited' columns
+           comparable. *)
         let q = Vardi_logic.Parser.query "(). exists x, y. R(x, y)" in
+        let body = Vardi_logic.Query.body q in
         let mappings = Mapping.count_all db in
         let partitions = Partition.count_valid db in
-        let (naive, naive_stats), naive_ms =
+        let (by_mappings, mappings_visited), mappings_ms =
           Table.time (fun () ->
-              Certain.certain_boolean_stats ~algorithm:Certain.Naive_mappings
-                db q)
+              certain_over
+                (Seq.map Mapping.image_db (Mapping.all_respecting db))
+                body)
         in
-        let (kernel, kernel_stats), kernel_ms =
+        let (by_partitions, partitions_visited), partitions_ms =
           Table.time (fun () ->
-              Certain.certain_boolean_stats
-                ~algorithm:Certain.Kernel_partitions db q)
+              certain_over
+                (Seq.map Partition.quotient (Partition.all_valid db))
+                body)
         in
         [
           string_of_int constants;
           string_of_int mappings;
           string_of_int partitions;
-          string_of_int naive_stats.Certain.structures;
-          string_of_int kernel_stats.Certain.structures;
-          Table.ms naive_ms;
-          Table.ms kernel_ms;
-          string_of_bool (naive = kernel);
+          string_of_int mappings_visited;
+          string_of_int partitions_visited;
+          Table.ms mappings_ms;
+          Table.ms partitions_ms;
+          string_of_bool (by_mappings = by_partitions);
         ])
       [ 2; 3; 4; 5; 6 ]
   in
   Table.make ~id:"A1"
-    ~title:"ablation: naive mapping enumeration vs kernel partitions"
+    ~title:"ablation: mapping enumeration vs kernel partitions"
     ~paper_claim:
       "Thm 1 quantifies over |C|^|C| mappings; only their kernels matter \
        (image databases of equal-kernel mappings are isomorphic)"
@@ -51,11 +68,18 @@ let a1 () =
         "|C|";
         "|C|^|C|";
         "partitions";
-        "naive visited";
-        "kernel visited";
-        "naive ms";
-        "kernel ms";
+        "mappings visited";
+        "partitions visited";
+        "mappings ms";
+        "partitions ms";
         "agree";
+      ]
+    ~notes:
+      [
+        "both columns run one string-keyed path: each image is built by \
+         Mapping.image_db or Partition.quotient and checked by \
+         Eval.satisfies, so the ratio measures the enumeration alone; the \
+         engine itself scans kernel partitions only, on interned codes";
       ]
     rows
 

@@ -1,7 +1,9 @@
 (** Ablation benches for the design choices DESIGN.md calls out.
 
-    A1 — exact engine: literal Theorem-1 mapping enumeration vs the
-    kernel-partition engine (the isomorphism/symmetry reduction).
+    A1 — the structures of Theorem 1: every respecting mapping (the
+    literal statement) vs one renaming per kernel partition (the
+    isomorphism reduction the engine relies on), both built and
+    evaluated on strings, so only the enumeration differs.
 
     A2 — approximation back end: direct Tarskian evaluation vs
     compilation to relational algebra (the "standard DBMS" route).

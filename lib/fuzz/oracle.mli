@@ -4,14 +4,13 @@
     implementation documents) and checks it by running the same
     [(LB, Q)] instance through independent code paths:
 
-    - [exact-merge-first], [exact-naive-mappings]: the exact
-      certain-answer engine agrees with itself across structure orders
-      and algorithms (Theorem 1's literal mapping enumeration vs kernel
-      partitions);
+    - [exact-merge-first]: the exact certain-answer engine agrees with
+      itself across structure orders;
     - [kernel-parity]: the engine agrees with the brute-force string
       evaluator {!Reference} on [answer]/[certain_boolean] and
-      [possible_answer]/[possible_boolean], under both algorithms and
-      both structure orders;
+      [possible_answer]/[possible_boolean], under both structure
+      orders, against both of the reference's enumerations (kernel
+      partitions, and Theorem 1's literal mapping enumeration);
     - [approx-sound]: Theorem 11, [A(Q, LB) ⊆ Q(LB)];
     - [approx-complete]: Theorems 12/13 — equality whenever
       {!Vardi_approx.Evaluate.completeness} says a completeness
@@ -82,10 +81,10 @@
     violation of the oracle whose check raised it (crash oracle), so
     the driver never dies mid-stream.
 
-    The reference algorithms with exponential enumeration
-    ([Naive_mappings], the [member-consistency] tuple sweep) are
+    The reference paths with exponential enumeration (the reference's
+    mapping enumeration, the [member-consistency] tuple sweep) are
     skipped when their search space exceeds a small internal budget;
-    the default engine paths are always checked. *)
+    the engine's own paths are always checked. *)
 
 type violation = {
   oracle : string;  (** oracle identifier, one of {!oracle_ids} *)

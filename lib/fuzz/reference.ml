@@ -6,7 +6,6 @@ module Cw_database = Vardi_cwdb.Cw_database
 module Mapping = Vardi_cwdb.Mapping
 module Partition = Vardi_cwdb.Partition
 module Query_check = Vardi_cwdb.Query_check
-module Certain = Vardi_certain.Engine
 module Vocabulary = Vardi_logic.Vocabulary
 module Ldb_format = Vardi_format.Ldb_format
 
@@ -15,24 +14,28 @@ type structure = {
   rename : string -> string;
 }
 
-let structures ?(algorithm = Certain.Kernel_partitions) ?order lb =
-  match algorithm with
-  | Certain.Naive_mappings ->
+type enumeration =
+  | Mappings
+  | Partitions
+
+let structures ?(enumeration = Partitions) ?order lb =
+  match enumeration with
+  | Mappings ->
     Seq.map
       (fun h -> { image = Mapping.image_db h; rename = Mapping.apply h })
       (Mapping.all_respecting lb)
-  | Certain.Kernel_partitions ->
+  | Partitions ->
     Seq.map
       (fun p -> { image = Partition.quotient p; rename = Partition.representative p })
       (Partition.all_valid ?order lb)
 
-let certain_boolean ?algorithm lb q =
+let certain_boolean ?enumeration lb q =
   Query_check.validate lb q;
-  Seq.for_all (fun s -> Eval.satisfies s.image (Query.body q)) (structures ?algorithm lb)
+  Seq.for_all (fun s -> Eval.satisfies s.image (Query.body q)) (structures ?enumeration lb)
 
-let possible_boolean ?algorithm lb q =
+let possible_boolean ?enumeration lb q =
   Query_check.validate lb q;
-  Seq.exists (fun s -> Eval.satisfies s.image (Query.body q)) (structures ?algorithm lb)
+  Seq.exists (fun s -> Eval.satisfies s.image (Query.body q)) (structures ?enumeration lb)
 
 let candidates lb q =
   Relation.full ~domain:(Cw_database.constants lb) (Query.arity q)
@@ -47,15 +50,15 @@ let answer_in structures lb q =
   Query_check.validate lb q;
   Seq.fold_left (fun acc s -> admitted acc q s) (candidates lb q) structures
 
-let answer ?algorithm lb q = answer_in (structures ?algorithm lb) lb q
+let answer ?enumeration lb q = answer_in (structures ?enumeration lb) lb q
 
-let possible_answer ?algorithm lb q =
+let possible_answer ?enumeration lb q =
   Query_check.validate lb q;
   let all = candidates lb q in
   Seq.fold_left
     (fun acc s -> Relation.union acc (admitted all q s))
     (Relation.empty (Query.arity q))
-    (structures ?algorithm lb)
+    (structures ?enumeration lb)
 
 (* --- the reference .ldb parser ---
 

@@ -7,8 +7,10 @@
     ([Partition.quotient] or [Mapping.image_db]) and evaluates the
     query on it with the Tarskian evaluator {!Vardi_relational.Eval}.
     It shares no code with the engine's scan — no interning, no
-    compiled plans, no pruning seed, no scheduler, budget or
-    observability — so a divergence points at the engine. *)
+    compiled plans, no pruning seed, no budget or observability — so a
+    divergence points at the engine. The mapping enumeration is
+    Theorem 1 read literally and shares not even the partition
+    enumeration with the engine. *)
 
 (** One structure of Theorem 1: an image database and the renaming of
     constants that produced it. *)
@@ -17,23 +19,32 @@ type structure = {
   rename : string -> string;
 }
 
-(** The structures in the engine's enumeration order for [algorithm]
-    (default [Kernel_partitions]) and [order] (kernel partitions
-    only). *)
+(** Which renamings the reference quantifies over. *)
+type enumeration =
+  | Mappings
+      (** every mapping [h : C → C] that respects the uniqueness
+          axioms, in [Mapping.all_respecting]'s order ([|C|^|C|]
+          before filtering, under [Mapping.all]'s enumeration cap) *)
+  | Partitions
+      (** one representative renaming per kernel partition, in
+          [Partition.all_valid]'s order — the engine's order *)
+
+(** The structures of [enumeration] (default [Partitions]); [order]
+    applies to [Partitions] only. *)
 val structures :
-  ?algorithm:Vardi_certain.Engine.algorithm ->
-  ?order:Vardi_certain.Engine.order ->
+  ?enumeration:enumeration ->
+  ?order:Vardi_cwdb.Partition.order ->
   Vardi_cwdb.Cw_database.t ->
   structure Seq.t
 
 val certain_boolean :
-  ?algorithm:Vardi_certain.Engine.algorithm ->
+  ?enumeration:enumeration ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   bool
 
 val possible_boolean :
-  ?algorithm:Vardi_certain.Engine.algorithm ->
+  ?enumeration:enumeration ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   bool
@@ -41,7 +52,7 @@ val possible_boolean :
 (** The certain answer: every candidate tuple over the constants that
     every structure admits. *)
 val answer :
-  ?algorithm:Vardi_certain.Engine.algorithm ->
+  ?enumeration:enumeration ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   Vardi_relational.Relation.t
@@ -57,7 +68,7 @@ val answer_in :
 
 (** The possible answer: every candidate tuple some structure admits. *)
 val possible_answer :
-  ?algorithm:Vardi_certain.Engine.algorithm ->
+  ?enumeration:enumeration ->
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   Vardi_relational.Relation.t

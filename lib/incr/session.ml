@@ -68,10 +68,10 @@ type query_entry = {
 }
 
 (* A materialized renaming stream. The partition enumeration depends
-   only on the symtab (the constant count and the distinct matrix),
-   never on the facts, so across fact deltas — which keep the symtab
-   physically intact — the stream is bit-identical and the tree walk
-   can be paid once. Keyed on physical symtab identity: a
+   only on the symtab (the constant count and the uniqueness bit matrix
+   it reads), never on the facts, so across fact deltas — which keep
+   the symtab physically intact — the stream is bit-identical and the
+   tree walk can be paid once. Keyed on physical symtab identity: a
    distinct-closure or a merge installs a new symtab and the entry
    simply stops matching. [re_reprs = None] is a negative entry: the
    stream is longer than the capacity, so scans stream it afresh
@@ -185,10 +185,11 @@ let close_unknown t c d ~to_ =
           let db = Cw_database.add_distinct v.v_db c d in
           (* Codes and facts are unchanged — the new uniqueness axiom
              only prunes the partition enumeration. The symtab is
-             rebuilt (it bakes in the distinct matrix) and every coded
-             fact is kept ([Iscan.with_axioms]); every cached structure
-             and memo entry stays valid: quotient structures and their
-             per-query answers never consult the distinct pairs. *)
+             rebuilt over the new database's bit matrix, which
+             [add_distinct] copied, and every coded fact is kept
+             ([Iscan.with_axioms]); every cached structure and memo
+             entry stays valid: quotient structures and their per-query
+             answers never consult the distinct pairs. *)
           t.view <-
             {
               v_db = db;
@@ -237,25 +238,6 @@ let apply t m =
 
 (* --- the structure cache -------------------------------------------- *)
 
-(* Mirrors the universe computation of [Iscan.image]: the sorted set of
-   codes the renaming maps onto. *)
-let universe_of n repr =
-  let seen = Array.make (max n 1) false in
-  Array.iter (fun e -> if e >= 0 then seen.(e) <- true) repr;
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    if seen.(i) then incr count
-  done;
-  let u = Array.make !count 0 in
-  let w = ref 0 in
-  for i = 0 to n - 1 do
-    if seen.(i) then begin
-      u.(!w) <- i;
-      incr w
-    end
-  done;
-  u
-
 (* [needed] marks the slots the consuming prepared query reads. Stale
    non-needed slots are passed through as-is: the compiled answer plan
    and the Boolean check only ever dereference the query's own
@@ -282,7 +264,7 @@ let structure_for t view needed repr =
     let universe =
       match c with
       | `Hit (u, _) -> u
-      | `Miss -> universe_of (Symtab.size tab) repr
+      | `Miss -> Iscan.universe plan repr
     in
     let slots =
       match c with
@@ -380,14 +362,11 @@ let source_for t view needed =
   {
     Certain.source_plan = plan;
     source_thunks =
-      (fun algorithm order ->
+      (fun Certain.Kernel_partitions order ->
         let reprs =
-          match algorithm with
-          | Certain.Naive_mappings -> Iscan.mapping_renamings plan
-          | Certain.Kernel_partitions -> (
-            match cached_renamings t view order with
-            | Some arr -> Array.to_seq arr
-            | None -> Iscan.renamings ~order plan)
+          match cached_renamings t view order with
+          | Some arr -> Array.to_seq arr
+          | None -> Iscan.renamings ~order plan
         in
         Seq.map (fun repr () -> structure_for t view needed repr) reprs);
     source_discrete =

@@ -18,11 +18,9 @@ type plan = {
      exactly once, at that depth of the enumeration tree. *)
   pending : (int * int array list) list array;
   (* All facts as (slot, arg codes), for paths that build whole images
-     at once (the discrete seed and the naive-mapping algorithm). *)
+     at once (the discrete seed, and a session's cached structures). *)
   facts_by_slot : int array list array;
 }
-
-let mapping_cap = 1 lsl 24
 
 (* The depth at which a fact with these codes becomes final: its
    largest code, or -1 for a nullary fact (a root relation's). *)
@@ -129,7 +127,8 @@ let remove_fact plan fact =
 (* --- axiom deltas ---------------------------------------------------- *)
 
 (* Codes, slots and facts are untouched by a uniqueness axiom; only the
-   symtab's distinct matrix, which the enumeration consults, changes. *)
+   bit matrix the symtab reads, which the enumeration consults,
+   changes. *)
 let with_axioms plan db =
   let tab = Symtab.make db in
   if not (Symtab.same_coding plan.tab tab) then
@@ -140,68 +139,109 @@ let with_axioms plan db =
 
 let symtab plan = plan.tab
 
-(* --- the kernel-partition stream ----------------------------------- *)
+(* --- the restricted-growth enumeration ------------------------------ *)
 
 (* One node of the restricted-growth enumeration tree: constants
    [0 .. depth-1] have representatives; [blocks] mirrors
    [Partition.all_valid]'s block list exactly (newest block first,
-   members in descending insertion order) so the two streams visit
+   members in descending insertion order) so the streams visit
    partitions in the same order — the positional budget-cap contract
-   depends on it. [rels] is the interned image of the facts finalized
-   so far; extending a node copies only the relation slots its depth's
-   fact bucket touches, sharing every other slot with the parent. *)
-type node = {
+   depends on it. [load] is what a stream carries down the tree besides
+   the renaming: for [structure_thunks], the interned image of the
+   facts finalized so far; for [renamings], nothing. *)
+type 'a node = {
   depth : int;
   repr : int array;
   blocks : (int * int list) list;  (* (representative, members) *)
-  rels : Irel.t array;
+  load : 'a;
 }
 
 type choice =
   | Fresh
   | Join of int
 
-let root plan =
-  {
-    depth = 0;
-    repr = Array.make (max plan.n 1) (-1);
-    blocks = [];
-    rels = plan.base;
-  }
-
-let extend plan node choice =
+(* The renaming of [node] extended by [choice]: constant [depth] is
+   represented by itself (a fresh block) or by the [i]th block's
+   representative. A leaf of the renaming stream needs nothing more. *)
+let assign node choice =
   let c = node.depth in
   let repr = Array.copy node.repr in
+  (repr.(c) <-
+     (match choice with Fresh -> c | Join i -> fst (List.nth node.blocks i)));
+  repr
+
+(* The child of [node] for [choice]; [grow c repr load] carries the
+   load over to the extended renaming. *)
+let extend ~grow node choice =
+  let c = node.depth in
+  let repr = assign node choice in
   let blocks =
     match choice with
-    | Fresh ->
-      repr.(c) <- c;
-      (c, [ c ]) :: node.blocks
+    | Fresh -> (c, [ c ]) :: node.blocks
     | Join i ->
-      let r, _ = List.nth node.blocks i in
-      repr.(c) <- r;
       List.mapi
         (fun j (br, ms) -> if j = i then (br, c :: ms) else (br, ms))
         node.blocks
   in
-  let rels =
-    match plan.pending.(c) with
-    | [] -> node.rels
-    | groups ->
-      let rels = Array.copy node.rels in
-      List.iter
-        (fun (slot, argss) ->
-          let rows =
-            List.map
-              (fun args ->
-                Array.map (fun a -> Array.unsafe_get repr a) args)
-              argss
-          in
-          rels.(slot) <- Irel.add_rows rels.(slot) rows)
-        groups;
-      rels
+  { depth = c + 1; repr; blocks; load = grow c repr node.load }
+
+let root plan load =
+  { depth = 0; repr = Array.make (max plan.n 1) (-1); blocks = []; load }
+
+(* The one recursion behind both streams: the same [Fresh]/[Join]
+   choice points as [Partition.all_valid], under the same uniqueness
+   filter (constant [c] joins a block only if no member carries an
+   axiom with it). The last constant's choices are handed to
+   [leaf node choice] unextended, so each stream decides what its
+   leaves compute and when. Branches are eta-expanded: nothing about a
+   sibling subtree is computed until the stream actually reaches it.
+   Needs at least one constant. *)
+let enumerate ~order plan ~grow ~leaf load =
+  let n = plan.n in
+  let coding = Symtab.coding plan.tab in
+  let rec expand node () =
+    let c = node.depth in
+    let child choice =
+      if c = n - 1 then Seq.return (leaf node choice)
+      else fun () -> expand (extend ~grow node choice) ()
+    in
+    let fresh = child Fresh in
+    let joins =
+      List.mapi
+        (fun i (_, members) ->
+          if Cw_database.Coding.distinct_from_any coding c members then None
+          else Some (child (Join i)))
+        node.blocks
+      |> List.filter_map Fun.id
+    in
+    let join_seq = Seq.concat (List.to_seq joins) in
+    match order with
+    | Partition.Fresh_first -> Seq.append fresh join_seq ()
+    | Partition.Merge_first -> Seq.append join_seq fresh ()
   in
-  { depth = c + 1; repr; blocks; rels }
+  expand (root plan load)
+
+(* --- the two streams ------------------------------------------------- *)
+
+(* Copy-on-extend: the facts whose largest code is [c] become final
+   when [c] is assigned, so extending a node copies only the relation
+   slots that depth's bucket touches, sharing every other slot with the
+   parent. *)
+let grow_rels plan c repr rels =
+  match plan.pending.(c) with
+  | [] -> rels
+  | groups ->
+    let rels = Array.copy rels in
+    List.iter
+      (fun (slot, argss) ->
+        let rows =
+          List.map
+            (fun args -> Array.map (fun a -> Array.unsafe_get repr a) args)
+            argss
+        in
+        rels.(slot) <- Irel.add_rows rels.(slot) rows)
+      groups;
+    rels
 
 (* Blocks are created with strictly increasing representatives (a fresh
    block's representative is the current constant), and the list is
@@ -209,7 +249,7 @@ let extend plan node choice =
 let finish plan node =
   let universe = Array.of_list (List.rev_map fst node.blocks) in
   let idb =
-    { Idb.tab = plan.tab; interp = node.repr; universe; rels = node.rels }
+    { Idb.tab = plan.tab; interp = node.repr; universe; rels = node.load }
   in
   { idb; rename = node.repr }
 
@@ -218,114 +258,31 @@ let finish plan node =
    deferred into the returned thunk, so a consumer that forces the
    stream without calling the thunk — a positional budget cap probing
    for one more structure, or a session serving the position from its
-   cache — pays no per-leaf relation work. Branches are eta-expanded:
-   nothing about a sibling subtree is computed until the stream
-   actually reaches it. *)
+   cache — pays no per-leaf relation work. *)
 let structure_thunks ?(order = Partition.Fresh_first) plan =
-  let n = plan.n in
-  if n = 0 then Seq.return (fun () -> finish plan (root plan))
+  if plan.n = 0 then Seq.return (fun () -> finish plan (root plan plan.base))
   else
-    let rec expand node () =
-      let c = node.depth in
-      let child choice : (unit -> structure) Seq.t =
-        if c = n - 1 then
-          Seq.return (fun () -> finish plan (extend plan node choice))
-        else fun () -> expand (extend plan node choice) ()
-      in
-      let fresh = child Fresh in
-      let joins =
-        List.mapi
-          (fun i (_, members) ->
-            if
-              List.for_all
-                (fun d -> not (Symtab.distinct plan.tab c d))
-                members
-            then Some (child (Join i))
-            else None)
-          node.blocks
-        |> List.filter_map Fun.id
-      in
-      let join_seq = Seq.concat (List.to_seq joins) in
-      match order with
-      | Partition.Fresh_first -> Seq.append fresh join_seq ()
-      | Partition.Merge_first -> Seq.append join_seq fresh ()
-    in
-    expand (root plan)
+    let grow = grow_rels plan in
+    enumerate ~order plan ~grow
+      ~leaf:(fun node choice () -> finish plan (extend ~grow node choice))
+      plan.base
 
-(* --- the renaming stream -------------------------------------------- *)
-
-(* [structure_thunks] with the image construction stripped out: the
-   same restricted-growth recursion, the same [Fresh]/[Join] choice
-   points, the same uniqueness filter — yielding only the completed
-   representative arrays. Position [i] of this stream names the same
+(* The same recursion carrying nothing: position [i] names the same
    renaming as position [i] of [structure_thunks], which is what lets
    an incremental session substitute cached structures for stream
-   positions without disturbing positional budget caps. Kept textually
-   parallel to [expand] above; any change to one must mirror into the
-   other. *)
-type light_node = {
-  l_depth : int;
-  l_repr : int array;
-  l_blocks : (int * int list) list;
-}
-
+   positions without disturbing positional budget caps. *)
 let renamings ?(order = Partition.Fresh_first) plan =
-  let n = plan.n in
-  if n = 0 then Seq.return (Array.make (max n 1) (-1))
-  else
-    let light_root =
-      { l_depth = 0; l_repr = Array.make (max n 1) (-1); l_blocks = [] }
-    in
-    let light_extend node choice =
-      let c = node.l_depth in
-      let repr = Array.copy node.l_repr in
-      let blocks =
-        match choice with
-        | Fresh ->
-          repr.(c) <- c;
-          (c, [ c ]) :: node.l_blocks
-        | Join i ->
-          let r, _ = List.nth node.l_blocks i in
-          repr.(c) <- r;
-          List.mapi
-            (fun j (br, ms) -> if j = i then (br, c :: ms) else (br, ms))
-            node.l_blocks
-      in
-      { l_depth = c + 1; l_repr = repr; l_blocks = blocks }
-    in
-    let rec expand node () =
-      let c = node.l_depth in
-      let child choice : int array Seq.t =
-        if c = n - 1 then Seq.return (light_extend node choice).l_repr
-        else fun () -> expand (light_extend node choice) ()
-      in
-      let fresh = child Fresh in
-      let joins =
-        List.mapi
-          (fun i (_, members) ->
-            if
-              List.for_all
-                (fun d -> not (Symtab.distinct plan.tab c d))
-                members
-            then Some (child (Join i))
-            else None)
-          node.l_blocks
-        |> List.filter_map Fun.id
-      in
-      let join_seq = Seq.concat (List.to_seq joins) in
-      match order with
-      | Partition.Fresh_first -> Seq.append fresh join_seq ()
-      | Partition.Merge_first -> Seq.append join_seq fresh ()
-    in
-    expand light_root
+  if plan.n = 0 then Seq.return (root plan ()).repr
+  else enumerate ~order plan ~grow:(fun _ _ () -> ()) ~leaf:assign ()
 
 (* --- whole images --------------------------------------------------- *)
 
-let image plan map =
-  let tab = plan.tab in
+(* The sorted set of codes [map] maps onto. An unassigned entry ([-1],
+   the root renaming of a database without constants) maps nowhere. *)
+let universe plan map =
   let n = plan.n in
   let seen = Array.make (max n 1) false in
-  Array.iter (fun e -> seen.(e) <- true) map;
+  Array.iter (fun e -> if e >= 0 then seen.(e) <- true) map;
   let count = ref 0 in
   for i = 0 to n - 1 do
     if seen.(i) then incr count
@@ -338,6 +295,11 @@ let image plan map =
       incr w
     end
   done;
+  universe
+
+let image plan map =
+  let tab = plan.tab in
+  let universe = universe plan map in
   let rels =
     Array.init (Symtab.rel_count tab) (fun slot ->
         Irel.of_rows
@@ -356,76 +318,3 @@ let image_slot plan map slot =
        plan.facts_by_slot.(slot))
 
 let discrete plan = image plan (Array.init (max plan.n 1) Fun.id)
-
-(* --- the naive-mapping stream --------------------------------------- *)
-
-(* Mirrors [Mapping.all_respecting]: base-[n] counters enumerated in
-   index order (digit [i] of the counter gives [h(c_i)]), filtered by
-   the uniqueness axioms, with the cap checked in the same integer
-   arithmetic and raising the same message. The respecting filter runs
-   during enumeration; image construction is deferred to the thunk. *)
-let mapping_thunks plan =
-  let n = plan.n in
-  if n = 0 then Seq.return (fun () -> discrete plan)
-  else begin
-    let total =
-      let rec go acc i =
-        if i = 0 then acc
-        else if acc > mapping_cap / n then
-          invalid_arg
-            (Printf.sprintf
-               "Mapping.all: %d^%d mappings exceeds the enumeration cap" n n)
-        else go (acc * n) (i - 1)
-      in
-      go 1 n
-    in
-    let distinct = Symtab.distinct_pairs plan.tab in
-    let of_index index =
-      let map = Array.make n 0 in
-      let v = ref index in
-      for i = 0 to n - 1 do
-        map.(i) <- !v mod n;
-        v := !v / n
-      done;
-      map
-    in
-    let respects map =
-      Array.for_all (fun (i, j) -> map.(i) <> map.(j)) distinct
-    in
-    Seq.init total of_index
-    |> Seq.filter respects
-    |> Seq.map (fun map () -> image plan map)
-  end
-
-(* The renaming mirror of [mapping_thunks]: the same counters, cap and
-   filter, yielding the maps themselves. *)
-let mapping_renamings plan =
-  let n = plan.n in
-  if n = 0 then Seq.return (Array.init (max n 1) Fun.id)
-  else begin
-    let total =
-      let rec go acc i =
-        if i = 0 then acc
-        else if acc > mapping_cap / n then
-          invalid_arg
-            (Printf.sprintf
-               "Mapping.all: %d^%d mappings exceeds the enumeration cap" n n)
-        else go (acc * n) (i - 1)
-      in
-      go 1 n
-    in
-    let distinct = Symtab.distinct_pairs plan.tab in
-    let of_index index =
-      let map = Array.make n 0 in
-      let v = ref index in
-      for i = 0 to n - 1 do
-        map.(i) <- !v mod n;
-        v := !v / n
-      done;
-      map
-    in
-    let respects map =
-      Array.for_all (fun (i, j) -> map.(i) <> map.(j)) distinct
-    in
-    Seq.init total of_index |> Seq.filter respects
-  end

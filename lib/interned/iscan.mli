@@ -13,14 +13,12 @@
     relation slots touched by the facts that become final at that
     depth and sharing everything else ({e copy-on-extend}).
 
-    {!mapping_thunks} is the interned [Naive_mappings] mirror, with
-    [Mapping.all]'s enumeration order, cap and error message.
-
-    Both streams defer the expensive per-structure work (the leaf
-    extension, or the whole image) into the returned thunks: forcing
-    the sequence only enumerates. A consumer that looks one position
-    past a budget cap, or serves a position from its own cache, never
-    builds that structure. *)
+    The stream defers the expensive per-structure work (the leaf
+    extension and its relations) into the returned thunks: forcing the
+    sequence only enumerates. A consumer that looks one position past a
+    budget cap, or serves a position from its own cache, never builds
+    that structure. {!renamings} is the same enumeration carrying no
+    relations. *)
 
 type structure = {
   idb : Idb.t;
@@ -30,7 +28,7 @@ type structure = {
 type plan
 
 (** Intern the database: build the symtab, code every fact, and bucket
-    facts by the depth at which they become final. O(n² + F log F) for
+    facts by the depth at which they become final. O(n + F log F) for
     [n] constants and [F] facts. *)
 val prepare : Vardi_cwdb.Cw_database.t -> plan
 
@@ -62,15 +60,17 @@ val remove_fact : plan -> Vardi_cwdb.Cw_database.fact -> plan
 
     A uniqueness axiom changes neither the constants nor the
     vocabulary, so every code, slot and coded fact outlives it; only
-    the renamings do, and they read the symtab's distinct matrix.
-    [with_axioms plan db] is [plan] with its symtab rebuilt from [db]:
+    the renamings do, and they read the uniqueness bit matrix through
+    the symtab. [with_axioms plan db] is [plan] with its symtab rebuilt
+    from [db]:
     equal, in every structure it builds, to {!prepare} [db] when [db]
     holds [plan]'s facts (they are not compared). Every fact slot,
     depth bucket and root relation is shared with [plan], which is
     left as it was.
 
-    Cost: one [Symtab.make] — O(n² + u) for [n] constants and [u]
-    uniqueness axioms; no fact is coded again.
+    Cost: one [Symtab.make] — O(p) for [p] predicates, nothing per
+    constant or axiom ([db]'s bit matrix is read in place); no fact is
+    coded again.
 
     @raise Invalid_argument when [db]'s constants or vocabulary differ
     from [plan]'s (a merge re-codes constants: use {!prepare}). *)
@@ -81,28 +81,30 @@ val symtab : plan -> Symtab.t
 (** The discrete structure (identity renaming — Ph₁ itself). *)
 val discrete : plan -> structure
 
+(** The kernel-partition stream in [Partition.all_valid]'s order for
+    [order] (default [Fresh_first]). *)
 val structure_thunks :
   ?order:Vardi_cwdb.Partition.order -> plan -> (unit -> structure) Seq.t
 
-val mapping_thunks : plan -> (unit -> structure) Seq.t
+(** {1 The renaming stream}
 
-(** {1 Renaming streams}
-
-    The two streams above with image construction stripped out: the
-    same enumeration recursion, choice points, uniqueness filters, caps
-    and error messages, yielding only the representative arrays.
-    Position [i] of [renamings] names the same renaming as position [i]
-    of [structure_thunks] (and [mapping_renamings] mirrors
-    [mapping_thunks] likewise) — the contract that lets an incremental
-    session substitute cached structures for stream positions without
-    moving positional budget caps. *)
+    {!structure_thunks} with image construction stripped out: the same
+    recursion, choice points and uniqueness filter (one implementation
+    serves both), yielding only the representative arrays. Position [i]
+    of [renamings] names the same renaming as position [i] of
+    [structure_thunks] — the contract that lets an incremental session
+    substitute cached structures for stream positions without moving
+    positional budget caps. *)
 
 val renamings : ?order:Vardi_cwdb.Partition.order -> plan -> int array Seq.t
-val mapping_renamings : plan -> int array Seq.t
+
+(** [universe plan map] is the sorted set of codes the completed
+    renaming [map] maps onto: the universe of [image plan map]. *)
+val universe : plan -> int array -> int array
 
 (** [image plan map] builds the whole quotient structure under the
     completed renaming [map]; equal (as interned structures) to the
-    structure the thunk streams produce for the same renaming. *)
+    structure {!structure_thunks} produces for the same renaming. *)
 val image : plan -> int array -> structure
 
 (** [image_slot plan map slot] rebuilds a single relation slot of

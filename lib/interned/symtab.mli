@@ -1,11 +1,14 @@
 (** Per-scan constant interning.
 
     A symtab is built once per certain-answer scan from the CW database
-    and maps every constant of [C] to a dense code — its index in the
-    sorted constant list, so code order coincides with name order and
-    interned relations sort identically to their string counterparts.
-    The uniqueness axioms become a boolean matrix over codes, and
-    predicates become dense relation slots in vocabulary order.
+    and maps every constant of [C] to a dense code — its rank, the
+    index in the sorted constant list, so code order coincides with
+    name order and interned relations sort identically to their string
+    counterparts. Constants and uniqueness axioms are read through the
+    database's own rank coding ({!Vardi_cwdb.Cw_database.Coding}: its
+    rank table and rank-indexed bit matrix), which {!make} neither
+    copies nor rebuilds; predicates become dense relation slots in
+    vocabulary order.
 
     The table is immutable after {!make}. Its codes hold for every
     database with the same constants and vocabulary ({!same_coding}) —
@@ -14,9 +17,11 @@
 
 type t
 
-(** [make db] interns the constants, uniqueness axioms and predicate
-    schema of [db]. Codes follow [Cw_database.constants db] (sorted);
-    slots follow [Vocabulary.predicates] (sorted). *)
+(** [make db] interns the predicate schema of [db] and takes its rank
+    coding. Codes follow [Cw_database.constants db] (sorted); slots
+    follow [Vocabulary.predicates] (sorted). O(p) for [p] predicates:
+    nothing per constant or per axiom. The symtab holds no reference to
+    [db] itself, so keeping it keeps none of [db]'s facts alive. *)
 val make : Vardi_cwdb.Cw_database.t -> t
 
 (** Number of constants (codes are [0 .. size - 1]). *)
@@ -28,13 +33,10 @@ val code : t -> string -> int
 (** [None] when the string is not a constant of the database. *)
 val code_opt : t -> string -> int option
 
-(** [distinct t i j] iff the constants coded [i] and [j] carry a
-    uniqueness axiom. *)
-val distinct : t -> int -> int -> bool
-
-(** The uniqueness axioms as code pairs, in
-    [Cw_database.distinct_pairs] order. *)
-val distinct_pairs : t -> (int * int) array
+(** The database's rank coding, whose ranks are this symtab's codes:
+    the uniqueness axioms over codes are
+    [Cw_database.Coding.distinct_from_any (coding t)]. *)
+val coding : t -> Vardi_cwdb.Cw_database.Coding.t
 
 val rel_count : t -> int
 val rel_name : t -> int -> string

@@ -59,7 +59,7 @@ let database qbf =
     ~facts
     ~distinct:[ ("0", "1") ]
 
-let eval_via_certain ?algorithm qbf =
+let eval_via_certain qbf =
   let module Obs = Vardi_obs.Obs in
   Obs.span "reduce.qbf_fo" (fun () ->
       let db, q =
@@ -68,4 +68,4 @@ let eval_via_certain ?algorithm qbf =
       Obs.count "reduce.qbf_fo.query_size"
         (Vardi_logic.Formula.size (Query.body q));
       Obs.span "reduce.qbf_fo.decide" (fun () ->
-          Vardi_certain.Engine.certain_boolean ?algorithm db q))
+          Vardi_certain.Engine.certain_boolean db q))

@@ -25,7 +25,6 @@ val query : Qbf.t -> Vardi_logic.Query.t
 (** [database qbf] is the CW logical database of the construction. *)
 val database : Qbf.t -> Vardi_cwdb.Cw_database.t
 
-(** [eval_via_certain ?algorithm qbf] decides the QBF by running the
+(** [eval_via_certain qbf] decides the QBF by running the
     exact engine on the reduction — must agree with {!Qbf.eval}. *)
-val eval_via_certain :
-  ?algorithm:Vardi_certain.Engine.algorithm -> Qbf.t -> bool
+val eval_via_certain : Qbf.t -> bool

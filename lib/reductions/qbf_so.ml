@@ -116,7 +116,7 @@ let query qbf =
   in
   Query.boolean (wrap 2)
 
-let eval_via_certain ?algorithm qbf =
+let eval_via_certain qbf =
   let module Obs = Vardi_obs.Obs in
   Obs.span "reduce.qbf_so" (fun () ->
       let db, q =
@@ -125,4 +125,4 @@ let eval_via_certain ?algorithm qbf =
       Obs.count "reduce.qbf_so.query_size"
         (Vardi_logic.Formula.size (Query.body q));
       Obs.span "reduce.qbf_so.decide" (fun () ->
-          Vardi_certain.Engine.certain_boolean ?algorithm db q))
+          Vardi_certain.Engine.certain_boolean db q))

@@ -38,8 +38,7 @@ val database : Qbf.t -> Vardi_cwdb.Cw_database.t
 
 val query : Qbf.t -> Vardi_logic.Query.t
 
-(** [eval_via_certain ?algorithm qbf] decides the QBF through the
+(** [eval_via_certain qbf] decides the QBF through the
     reduction — must agree with {!Qbf.eval}. Uses bounded second-order
     evaluation internally: keep block sizes small. *)
-val eval_via_certain :
-  ?algorithm:Vardi_certain.Engine.algorithm -> Qbf.t -> bool
+val eval_via_certain : Qbf.t -> bool

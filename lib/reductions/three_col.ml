@@ -41,14 +41,14 @@ let database g =
     ~facts:(m_facts @ r_facts)
     ~distinct:[ ("1", "2"); ("1", "3"); ("2", "3") ]
 
-let colorable_via_certain ?algorithm ?order g =
+let colorable_via_certain ?order g =
   let module Obs = Vardi_obs.Obs in
   Obs.span "reduce.three_col" (fun () ->
       let db = Obs.span "reduce.three_col.encode" (fun () -> database g) in
       Obs.count "reduce.three_col.vertices" (Graph.vertex_count g);
       Obs.count "reduce.three_col.edges" (List.length (Graph.edges g));
       Obs.span "reduce.three_col.decide" (fun () ->
-          not (Vardi_certain.Engine.certain_boolean ?algorithm ?order db query)))
+          not (Vardi_certain.Engine.certain_boolean ?order db query)))
 
 (* The proof normalizes h to be the identity on {1,2,3}; an arbitrary
    countermodel may instead send the color constants elsewhere

@@ -21,14 +21,13 @@ val query : Vardi_logic.Query.t
 (** [database g] is the CW logical database encoding [g]. *)
 val database : Graph.t -> Vardi_cwdb.Cw_database.t
 
-(** [colorable_via_certain ?algorithm ?order g] decides 3-colorability
+(** [colorable_via_certain ?order g] decides 3-colorability
     by running the exact certain-answer engine on the reduction:
     3-colorable iff {e not} certain. [order = Merge_first] looks at
     heavily-merged kernel partitions first — on colorable graphs the
     countermodel (a proper coloring merges every vertex constant into a
     color class) is then found much earlier (ablation A4). *)
 val colorable_via_certain :
-  ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   Graph.t ->
   bool

@@ -80,28 +80,26 @@ let evaluate ~span ~policy ~budget ~scan ~fallback =
           approx_fallback ~tripped:None
             ~scan_failure:(Some (Printexc.to_string e)) ~scan_stats:None))
 
-let answer_stats ?(policy = Fail) ?algorithm ?order
-    ?(budget = Budget.unlimited) lb q =
+let answer_stats ?(policy = Fail) ?order ?(budget = Budget.unlimited) lb q =
   Vardi_cwdb.Query_check.validate lb q;
   evaluate ~span:"resilience.answer" ~policy ~budget
-    ~scan:(fun cancel -> Certain.answer_stats ?algorithm ?order ~cancel lb q)
+    ~scan:(fun cancel -> Certain.answer_stats ?order ~cancel lb q)
     ~fallback:(fun () -> Approximation.answer lb q)
 
-let answer ?policy ?algorithm ?order ?budget lb q =
-  fst (answer_stats ?policy ?algorithm ?order ?budget lb q)
+let answer ?policy ?order ?budget lb q =
+  fst (answer_stats ?policy ?order ?budget lb q)
 
-let boolean_stats ?(policy = Fail) ?algorithm ?order
-    ?(budget = Budget.unlimited) lb q =
+let boolean_stats ?(policy = Fail) ?order ?(budget = Budget.unlimited) lb q =
   Vardi_cwdb.Query_check.validate lb q;
   if not (Query.is_boolean q) then
     invalid_arg "Resilient.boolean: the query has answer variables";
   evaluate ~span:"resilience.boolean" ~policy ~budget
     ~scan:(fun cancel ->
-      Certain.certain_boolean_stats ?algorithm ?order ~cancel lb q)
+      Certain.certain_boolean_stats ?order ~cancel lb q)
     ~fallback:(fun () -> Approximation.boolean lb q)
 
-let boolean ?policy ?algorithm ?order ?budget lb q =
-  fst (boolean_stats ?policy ?algorithm ?order ?budget lb q)
+let boolean ?policy ?order ?budget lb q =
+  fst (boolean_stats ?policy ?order ?budget lb q)
 
 (* Prepared variants: same contract, but the per-query compilation was
    paid at [Certain.prepare] time — these are what the serve layer's
@@ -110,21 +108,21 @@ let boolean ?policy ?algorithm ?order ?budget lb q =
    is acceptable because it only runs on degradation paths. [?domains]
    is deprecated and ignored: the scan is sequential. *)
 
-let prepared_answer_stats ?(policy = Fail) ?algorithm ?order
+let prepared_answer_stats ?(policy = Fail) ?order
     ?domains:_ ?(budget = Budget.unlimited) p =
   evaluate ~span:"resilience.answer" ~policy ~budget
     ~scan:(fun cancel ->
-      Certain.prepared_answer_stats ?algorithm ?order ~cancel p)
+      Certain.prepared_answer_stats ?order ~cancel p)
     ~fallback:(fun () ->
       Approximation.answer (Certain.prepared_db p) (Certain.prepared_query p))
 
-let prepared_boolean_stats ?(policy = Fail) ?algorithm ?order
+let prepared_boolean_stats ?(policy = Fail) ?order
     ?domains:_ ?(budget = Budget.unlimited) p =
   if not (Query.is_boolean (Certain.prepared_query p)) then
     invalid_arg "Resilient.prepared_boolean: the query has answer variables";
   evaluate ~span:"resilience.boolean" ~policy ~budget
     ~scan:(fun cancel ->
-      Certain.prepared_certain_boolean_stats ?algorithm ?order ~cancel p)
+      Certain.prepared_certain_boolean_stats ?order ~cancel p)
     ~fallback:(fun () ->
       Approximation.boolean (Certain.prepared_db p) (Certain.prepared_query p))
 

@@ -83,7 +83,7 @@ type stats = {
 (** [answer ~budget lb q] evaluates the certain answer [Q(LB)] under
     [budget] and degrades per [policy] (default [Fail]).
 
-    [?algorithm] and [?order] are passed to the exact engine.
+    [?order] is passed to the exact engine.
     Emits a [resilience.answer] span and, when degradation happens,
     [resilience.budget_trip] / [resilience.scan_failure] /
     [resilience.fallback] counters.
@@ -96,7 +96,6 @@ type stats = {
     fallback. *)
 val answer :
   ?policy:policy ->
-  ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -105,7 +104,6 @@ val answer :
 
 val answer_stats :
   ?policy:policy ->
-  ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -116,7 +114,6 @@ val answer_stats :
     @raise Invalid_argument when [q] has answer variables. *)
 val boolean :
   ?policy:policy ->
-  ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -125,7 +122,6 @@ val boolean :
 
 val boolean_stats :
   ?policy:policy ->
-  ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   ?budget:Budget.t ->
   Vardi_cwdb.Cw_database.t ->
@@ -143,7 +139,6 @@ val boolean_stats :
     so that existing callers keep compiling; pass nothing. *)
 val prepared_answer_stats :
   ?policy:policy ->
-  ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   ?domains:int ->
   ?budget:Budget.t ->
@@ -155,7 +150,6 @@ val prepared_answer_stats :
     @raise Invalid_argument if the prepared query is not Boolean. *)
 val prepared_boolean_stats :
   ?policy:policy ->
-  ?algorithm:Vardi_certain.Engine.algorithm ->
   ?order:Vardi_certain.Engine.order ->
   ?domains:int ->
   ?budget:Budget.t ->

@@ -82,6 +82,11 @@ let test_exit_usage () =
         (run_ldb [ "query"; db; "(). TEACHES(socrates, plato)"; "--domains"; "2" ]);
       check_exit "fuzz --domains" 2
         (run_ldb [ "fuzz"; "--count"; "0"; "--domains"; "2" ]);
+      (* kernel partitions are the one exact algorithm: the selector is
+         gone *)
+      check_exit "query --algorithm" 2
+        (run_ldb
+           [ "query"; db; "(). TEACHES(socrates, plato)"; "--algorithm"; "naive" ]);
       check_exit "budget with a budgetless engine" 2
         (run_ldb
            [ "query"; db; "(). TEACHES(socrates, plato)"; "-e"; "approx"; "--timeout"; "1" ]))

@@ -122,13 +122,20 @@ let test_symtab_codes () =
     constants;
   check Alcotest.(option int) "unknown constant has no code" None
     (Symtab.code_opt tab "not-a-constant");
+  (* Every ordered pair, the diagonal included: the symtab's coding
+     reads the database's upper-triangle bit matrix from either side. *)
   List.iter
-    (fun (c, d) ->
-      check_bool
-        (Printf.sprintf "distinct %s %s" c d)
-        true
-        (Symtab.distinct tab (Symtab.code tab c) (Symtab.code tab d)))
-    (Cw_database.distinct_pairs ripper)
+    (fun c ->
+      List.iter
+        (fun d ->
+          check_bool
+            (Printf.sprintf "distinct %s %s" c d)
+            (Cw_database.are_distinct ripper c d)
+            (Cw_database.Coding.distinct_from_any (Symtab.coding tab)
+               (Symtab.code tab c)
+               [ Symtab.code tab d ]))
+        constants)
+    constants
 
 (* --- enumeration-order parity with Partition.all_valid --------------- *)
 
@@ -141,46 +148,46 @@ let renames_of_partitions db order =
   |> Seq.map (fun p -> List.map (Partition.representative p) constants)
   |> List.of_seq
 
-let renames_of_iscan db order =
+(* [stream] is one of Iscan's two streams, reduced to its renamings. *)
+let renames_of_iscan stream db order =
   let plan = Iscan.prepare db in
   let tab = Iscan.symtab plan in
   let constants = Cw_database.constants db in
-  Iscan.structure_thunks ~order plan
-  |> Seq.map (fun thunk ->
-         let s = (thunk ()).Iscan.rename in
-         List.map (fun c -> Symtab.name tab s.(Symtab.code tab c)) constants)
+  stream order plan
+  |> Seq.map (fun r ->
+         List.map (fun c -> Symtab.name tab r.(Symtab.code tab c)) constants)
   |> List.of_seq
 
+(* Sessions serve stream positions from [Iscan.renamings], so its
+   positions are pinned as well as the structure stream's. *)
 let test_stream_order_parity () =
+  let streams =
+    [
+      ( "structure_thunks",
+        fun order plan ->
+          Seq.map
+            (fun thunk -> (thunk ()).Iscan.rename)
+            (Iscan.structure_thunks ~order plan) );
+      ("renamings", fun order plan -> Iscan.renamings ~order plan);
+    ]
+  in
   List.iter
     (fun (db, db_name) ->
       List.iter
         (fun (order, order_name) ->
-          check
-            Alcotest.(list (list string))
-            (Printf.sprintf "%s/%s stream order" db_name order_name)
-            (renames_of_partitions db order)
-            (renames_of_iscan db order))
+          let expected = renames_of_partitions db order in
+          List.iter
+            (fun (stream_name, stream) ->
+              check
+                Alcotest.(list (list string))
+                (Printf.sprintf "%s/%s %s order" db_name order_name
+                   stream_name)
+                expected
+                (renames_of_iscan stream db order))
+            streams)
         [ (Partition.Fresh_first, "Fresh_first");
           (Partition.Merge_first, "Merge_first") ])
     [ (socrates, "socrates"); (personnel, "personnel"); (ripper, "ripper") ]
-
-let test_mapping_stream_parity () =
-  (* The naive stream mirrors Mapping.all_respecting: same count, and
-     the discrete renaming appears exactly once. *)
-  let plan = Iscan.prepare socrates in
-  let n = Symtab.size (Iscan.symtab plan) in
-  let identity = Array.init n Fun.id in
-  let renames =
-    Iscan.mapping_thunks plan
-    |> Seq.map (fun thunk -> (thunk ()).Iscan.rename)
-    |> List.of_seq
-  in
-  check_int "respecting-mapping count"
-    (List.length (List.of_seq (Mapping.all_respecting socrates)))
-    (List.length renames);
-  check_int "identity appears once" 1
-    (List.length (List.filter (fun r -> r = identity) renames))
 
 (* --- Iplan / Ieval against the string evaluators --------------------- *)
 
@@ -235,14 +242,14 @@ let test_ieval_matches_eval () =
 
 (* --- end-to-end parity with the reference (results and stats) ------- *)
 
-(* A full scan (no early exit) visits every structure of the stream;
-   the answer scans add the discrete seed, which only the
-   fresh-first partition stream drops from its remainder. *)
-let full_scan_structures ~algorithm ~order ~boolean db =
-  let n = Seq.length (Fuzz_reference.structures ~algorithm ~order db) in
-  match (boolean, algorithm, order) with
-  | true, _, _ | false, Certain.Kernel_partitions, Certain.Fresh_first -> n
-  | false, _, _ -> n + 1
+(* A full scan (no early exit) visits every partition; the answer
+   scans add the discrete seed, which only the fresh-first stream drops
+   from its remainder. *)
+let full_scan_structures ~order ~boolean db =
+  let n = Seq.length (Fuzz_reference.structures ~order db) in
+  match (boolean, order) with
+  | true, _ | false, Certain.Fresh_first -> n
+  | false, Certain.Merge_first -> n + 1
 
 let test_kernel_parity_exhaustive () =
   let cases =
@@ -259,10 +266,11 @@ let test_kernel_parity_exhaustive () =
       let query = q text in
       let boolean = Query.is_boolean query in
       List.iter
-        (fun algorithm ->
+        (fun enumeration ->
           let reference =
-            if boolean then `Bool (Fuzz_reference.certain_boolean ~algorithm db query)
-            else `Rel (Fuzz_reference.answer ~algorithm db query)
+            if boolean then
+              `Bool (Fuzz_reference.certain_boolean ~enumeration db query)
+            else `Rel (Fuzz_reference.answer ~enumeration db query)
           in
           List.iter
             (fun order ->
@@ -270,13 +278,11 @@ let test_kernel_parity_exhaustive () =
               let s =
                 match reference with
                 | `Bool r ->
-                  let v, s =
-                    Certain.certain_boolean_stats ~algorithm ~order db query
-                  in
+                  let v, s = Certain.certain_boolean_stats ~order db query in
                   check_bool (label "verdict") r v;
                   s
                 | `Rel r ->
-                  let v, s = Certain.answer_stats ~algorithm ~order db query in
+                  let v, s = Certain.answer_stats ~order db query in
                   check Support.relation_testable (label "answer") r v;
                   s
               in
@@ -286,10 +292,10 @@ let test_kernel_parity_exhaustive () =
                 (s.Certain.interrupted = None);
               if not s.Certain.early_exit then
                 check_int (label "a full scan visits every structure")
-                  (full_scan_structures ~algorithm ~order ~boolean db)
+                  (full_scan_structures ~order ~boolean db)
                   s.Certain.structures)
             [ Certain.Fresh_first; Certain.Merge_first ])
-        [ Certain.Kernel_partitions; Certain.Naive_mappings ])
+        [ Fuzz_reference.Partitions; Fuzz_reference.Mappings ])
     cases
 
 let test_possible_parity () =
@@ -328,31 +334,6 @@ let test_budget_positional_parity () =
         (total > cap && not s.Certain.early_exit)
         (s.Certain.interrupted <> None))
     [ 1; 2; 3; 5; 8 ]
-
-(* --- the naive-mapping cap trips as the reference does --------------- *)
-
-let test_mapping_cap_parity () =
-  (* 9 constants: 9^9 ≈ 3.9·10^8 exceeds the 2^24 mapping cap, so the
-     Naive_mappings algorithm must refuse — with the same exception and
-     message as the reference's Mapping enumeration. *)
-  let db =
-    database
-      ~constants:
-        [ "c0"; "c1"; "c2"; "c3"; "c4"; "c5"; "c6"; "c7"; "c8" ]
-      ~predicates:[ ("P", 1) ]
-      ~facts:[ ("P", [ "c0" ]) ]
-      ()
-  in
-  let query = q "(). exists x. P(x)" in
-  let trip certain_boolean =
-    match certain_boolean () with
-    | _ -> Alcotest.fail "9^9 mappings must exceed the enumeration cap"
-    | exception Invalid_argument msg -> msg
-  in
-  let algorithm = Certain.Naive_mappings in
-  check Alcotest.string "cap messages agree"
-    (trip (fun () -> Fuzz_reference.certain_boolean ~algorithm db query))
-    (trip (fun () -> Certain.certain_boolean ~algorithm db query))
 
 (* --- fact deltas patch the plan ----------------------------------------- *)
 
@@ -501,8 +482,6 @@ let suite =
     Alcotest.test_case "Symtab dense codes" `Quick test_symtab_codes;
     Alcotest.test_case "partition-stream order parity" `Quick
       test_stream_order_parity;
-    Alcotest.test_case "naive-mapping stream parity" `Quick
-      test_mapping_stream_parity;
     Alcotest.test_case "Iplan matches Algebra.run" `Quick
       test_iplan_matches_algebra;
     Alcotest.test_case "Ieval matches Eval.answer" `Quick
@@ -513,8 +492,6 @@ let suite =
       test_possible_parity;
     Alcotest.test_case "budget caps are kernel-positional" `Quick
       test_budget_positional_parity;
-    Alcotest.test_case "naive-mapping cap parity" `Quick
-      test_mapping_cap_parity;
     Support.qcheck_case fact_patch_matches_prepare;
     Alcotest.test_case "axiom patch refuses a re-coded database" `Quick
       test_axiom_patch_refuses_recoding;
