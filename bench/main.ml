@@ -560,39 +560,17 @@ let durable_bench args =
   | _ -> ());
   Option.iter (fun path -> write_json path results) (value_of "--json" args)
 
-(* --- the acyclic-query benchmark (--acq / --acq-sanity) ---
+(* --- the join sanity gate (--acq-sanity) ---
 
-   E20 (EXPERIMENTS.md, BENCH_10.json): what the acyclic-query fast
-   path buys. A growing-domain sweep over a 3-atom path CQ compares
-   three evaluation strategies on the same database:
-
-   - acq/path-nNNN-naive       the unoptimized compiled plan: every
-                               atom padded to the full variable width
-                               with domain products (intermediates grow
-                               like n^3 here);
-   - acq/path-nNNN-optimized   the same plan through the optimizer's
-                               join-fusion rewrites (Join/Semijoin
-                               operators, no padding);
-   - acq/path-nNNN-fast        the Yannakakis evaluator: join tree,
-                               two semijoin passes, bottom-up joins
-                               with early projection.
-
-   Larger sizes run only the two join-based strategies (the naive plan
-   would materialize tens of millions of tuples). A star CQ row shows
-   the effect is not path-specific, a triangle row pins the cyclic
-   fallback, and an approx-pipeline pair times A(Q,LB) end-to-end with
-   the Direct backend vs the optimized backend's fast-path dispatch.
-
-   Every timed plan is first checked for answer equality against the
-   Tarskian evaluator (small sizes) or across strategies (large
-   sizes) — a benchmark of a wrong answer would be meaningless.
-
-   This mode also re-measures durable/delta-query-always and
-   durable/recover-100 (their BENCH_9.json rows had low OLS
-   confidence) at this mode's longer quota; the BENCH_10.json rows
-   supersede them. *)
-
-let acq_quota = 1.0
+   CI's check that the optimizer's fused joins, the plan the optimized
+   approximation backend runs, stay correct and stay fast. Correctness
+   first, at sizes where the Tarskian evaluator is cheap: the naive
+   padded plan and the optimized plan of a path, a star and a cyclic
+   triangle CQ must equal [Eval], and the optimized backend must answer
+   a negated-atom query as the Direct backend does. Then one wall-clock
+   comparison at n = 64: the optimized plan must beat the naive padded
+   plan, whose intermediates grow like n^3, by the required factor
+   (default 5x; the floor keeps CI robust to noisy runners). *)
 
 module Acq = struct
   module L = Logicaldb
@@ -600,8 +578,8 @@ module Acq = struct
   let e i = Printf.sprintf "e%03d" i
 
   (* Three shifted successor chains over a domain of [n] elements:
-     |R| = |S| = |T| = n, so the acyclic strategies are linear in [n]
-     while the padded plan pays n^3. *)
+     |R| = |S| = |T| = n, so the fused joins are linear in [n] while
+     the padded plan pays n^3. *)
   let db n =
     let domain = List.init n e in
     let chain shift =
@@ -626,18 +604,34 @@ module Acq = struct
   let triangle_q =
     L.Parser.query "(x). exists y. exists z. R(x, y) /\\ S(y, z) /\\ T(z, x)"
 
+  let negated_q = L.Parser.query "(x). exists y. R(x, y) /\\ ~S(x, y)"
+
+  (* A CW database of 12 constants for [negated_q]: [R] and [S] chains,
+     [S] also holding every third pair of [R], and the first four
+     constants unknown (no uniqueness axioms among them). *)
+  let negated_db =
+    let n = 12 in
+    let fact p i j = { L.Cw_database.pred = p; args = [ e i; e (j mod n) ] } in
+    L.Cw_database.make
+      ~vocabulary:
+        (L.Vocabulary.make ~constants:(List.init n e)
+           ~predicates:[ ("R", 2); ("S", 2) ])
+      ~facts:
+        (List.init n (fun i -> fact "R" i (i + 1))
+        @ List.init n (fun i -> fact "S" i (i + 2))
+        @ List.init (n / 3) (fun k -> fact "S" (3 * k) ((3 * k) + 1)))
+      ~distinct:
+        (List.concat_map
+           (fun j -> List.init j (fun i -> (e i, e j)))
+           (List.init (n - 4) (fun j -> j + 4)))
+
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
-        Fmt.epr "acq-bench: %s@." msg;
+        Fmt.epr "acq-sanity: %s@." msg;
         exit 1)
       fmt
 
-  (* Correctness gates at sizes where the Tarskian evaluator is cheap:
-     all four strategies must agree on the acyclic queries, detection
-     must actually fire (a fast path that always falls back would
-     "win" every benchmark), and the triangle must be rejected as
-     cyclic yet still answered correctly by the fallback. *)
   let gate () =
     List.iter
       (fun n ->
@@ -645,11 +639,6 @@ module Acq = struct
         List.iter
           (fun (qname, q) ->
             let reference = L.Eval.answer db q in
-            (match L.Yannakakis.answer db q with
-            | None -> fail "fast path not taken on %s at n=%d" qname n
-            | Some fast ->
-              if not (L.Relation.equal fast reference) then
-                fail "fast path wrong on %s at n=%d" qname n);
             let naive = L.Compile.query db q in
             if not (L.Relation.equal (L.Algebra.run db naive) reference) then
               fail "naive plan wrong on %s at n=%d" qname n;
@@ -659,199 +648,21 @@ module Acq = struct
                    (L.Algebra.run db (L.Optimizer.optimize db naive))
                    reference)
             then fail "optimized plan wrong on %s at n=%d" qname n)
-          [ ("path", path_q); ("star", star_q) ];
-        (match L.Yannakakis.plan db triangle_q with
-        | Some _ -> fail "triangle accepted as acyclic at n=%d" n
-        | None -> ());
-        if
-          not
-            (L.Relation.equal
-               (L.Algebra.run db
-                  (L.Optimizer.optimize db (L.Compile.query db triangle_q)))
-               (L.Eval.answer db triangle_q))
-        then fail "triangle fallback wrong at n=%d" n)
+          [ ("path", path_q); ("star", star_q); ("triangle", triangle_q) ])
       [ 8; 16 ];
-    Fmt.pr "  correctness gates passed (n = 8, 16; path, star, triangle)@."
-
-  (* One size's strategy plans, parity-checked against each other so
-     the large sizes stay verified without the Tarskian evaluator. *)
-  let plans n q qname =
-    let db = db n in
-    let naive = L.Compile.query db q in
-    let optimized = L.Optimizer.optimize db naive in
-    let yplan =
-      match L.Yannakakis.plan db q with
-      | Some p -> p
-      | None -> fail "fast path not taken on %s at n=%d" qname n
-    in
-    let fast_answer = L.Yannakakis.run db yplan in
-    if not (L.Relation.equal fast_answer (L.Algebra.run db optimized)) then
-      fail "fast and optimized answers diverge on %s at n=%d" qname n;
-    (db, naive, optimized, yplan)
+    if
+      not
+        (L.Relation.equal
+           (L.Approx.answer ~backend:L.Approx.Algebra_optimized negated_db
+              negated_q)
+           (L.Approx.answer ~backend:L.Approx.Direct negated_db negated_q))
+    then fail "optimized and Direct approximations differ on %s"
+        (L.Pretty.query_to_string negated_q);
+    Fmt.pr
+      "  correctness gates passed (n = 8, 16; path, star, triangle; \
+       negated atom on the optimized backend)@."
 end
 
-let acq_durable_retest_tests root =
-  (* E19 follow-up: the BENCH_9.json rows for these two benchmarks had
-     low OLS confidence (r² 0.19 and 0.71) at the default 0.3 s quota;
-     re-measured here at [acq_quota] so BENCH_10.json supersedes
-     them. Setup mirrors [durable_bench]. *)
-  let module Certain = Vardi_certain.Engine in
-  let module Session = Logicaldb.Incr_session in
-  let module Cw = Logicaldb.Cw_database in
-  let module Store = Logicaldb.Durable_store in
-  let module Wal = Logicaldb.Wal in
-  let module Recovery = Logicaldb.Recovery in
-  let db0 = Workloads.parametric_db ~constants:16 ~unknowns:2 ~seed:7 in
-  let dep_q = Workloads.mixed_query in
-  let delta_fact =
-    let constants = Cw.constants db0 in
-    let existing = Cw.facts db0 in
-    let candidates =
-      List.concat_map
-        (fun c ->
-          List.map (fun d -> { Cw.pred = "R"; args = [ c; d ] }) constants)
-        constants
-    in
-    match List.find_opt (fun f -> not (List.mem f existing)) candidates with
-    | Some f -> f
-    | None ->
-      Fmt.epr "acq-bench: R is full on the E1-medium workload@.";
-      exit 1
-  in
-  let toggle apply =
-    let present = ref false in
-    fun () ->
-      (if !present then apply (Session.Retract delta_fact)
-       else apply (Session.Insert delta_fact));
-      present := not !present
-  in
-  let always_thunk =
-    let dir = Filename.concat root "always" in
-    let store = Store.create ~dir ~sync:Wal.Always ~snapshot_every:0 db0 in
-    let s = Store.session store in
-    let step = toggle (fun m -> ignore (Store.commit store m)) in
-    fun () ->
-      step ();
-      Certain.prepared_answer_stats (Session.prepare s dep_q)
-  in
-  let recover_dir =
-    let dir = Filename.concat root "recover100" in
-    let store = Store.create ~dir ~sync:Wal.Never ~snapshot_every:0 db0 in
-    let step = toggle (fun m -> ignore (Store.commit store m)) in
-    for _ = 1 to 100 do
-      step ()
-    done;
-    Store.abandon store;
-    dir
-  in
-  [
-    Test.make ~name:"durable/delta-query-always" (stage always_thunk);
-    Test.make ~name:"durable/recover-100"
-      (stage (fun () -> Recovery.verify recover_dir));
-  ]
-
-let acq_bench args =
-  let module L = Logicaldb in
-  Fmt.pr "=== E20: acyclic-query fast path — Yannakakis vs naive ===@.";
-  Acq.gate ();
-  let sweep_sizes = [ 16; 32; 64 ] in
-  let fast_only_sizes = [ 128; 256 ] in
-  let name n strategy = Printf.sprintf "acq/path-n%03d-%s" n strategy in
-  let sweep_tests =
-    List.concat_map
-      (fun n ->
-        let db, naive, optimized, yplan = Acq.plans n Acq.path_q "path" in
-        [
-          Test.make ~name:(name n "naive")
-            (stage (fun () -> L.Algebra.run db naive));
-          Test.make ~name:(name n "optimized")
-            (stage (fun () -> L.Algebra.run db optimized));
-          Test.make ~name:(name n "fast")
-            (stage (fun () -> L.Yannakakis.run db yplan));
-        ])
-      sweep_sizes
-    @ List.concat_map
-        (fun n ->
-          let db, _, optimized, yplan = Acq.plans n Acq.path_q "path" in
-          [
-            Test.make ~name:(name n "optimized")
-              (stage (fun () -> L.Algebra.run db optimized));
-            Test.make ~name:(name n "fast")
-              (stage (fun () -> L.Yannakakis.run db yplan));
-          ])
-        fast_only_sizes
-  in
-  let star_tests =
-    let db, naive, optimized, yplan = Acq.plans 32 Acq.star_q "star" in
-    [
-      Test.make ~name:"acq/star-n032-naive"
-        (stage (fun () -> L.Algebra.run db naive));
-      Test.make ~name:"acq/star-n032-optimized"
-        (stage (fun () -> L.Algebra.run db optimized));
-      Test.make ~name:"acq/star-n032-fast"
-        (stage (fun () -> L.Yannakakis.run db yplan));
-    ]
-  in
-  let triangle_tests =
-    let db = Acq.db 32 in
-    (match L.Yannakakis.plan db Acq.triangle_q with
-    | Some _ -> Acq.fail "triangle accepted as acyclic at n=32"
-    | None -> ());
-    let optimized = L.Optimizer.optimize db (L.Compile.query db Acq.triangle_q) in
-    [
-      Test.make ~name:"acq/triangle-n032-fallback"
-        (stage (fun () -> L.Algebra.run db optimized));
-    ]
-  in
-  let approx_tests =
-    (* End-to-end A(Q,LB) on the E1-medium workload: the optimized
-       backend dispatches this acyclic CQ to the fast path; Direct is
-       the Tarskian pipeline. *)
-    let adb = Workloads.parametric_db ~constants:16 ~unknowns:2 ~seed:7 in
-    let aq = L.Parser.query "(x, z). exists y. R(x, y) /\\ R(y, z)" in
-    let hat = L.Translate.query L.Translate.Semantic aq in
-    let storage, hooks = L.Approx.storage adb in
-    (match L.Yannakakis.answer ~virtuals:hooks storage hat with
-    | None -> Acq.fail "approx E2E query not dispatched to the fast path"
-    | Some _ -> ());
-    let direct = L.Approx.answer ~backend:L.Approx.Direct adb aq in
-    let optimized =
-      L.Approx.answer ~backend:L.Approx.Algebra_optimized adb aq
-    in
-    if not (L.Relation.equal direct optimized) then
-      Acq.fail "approx backends disagree on the E2E query";
-    [
-      Test.make ~name:"acq/approx-e2e-direct"
-        (stage (fun () -> L.Approx.answer ~backend:L.Approx.Direct adb aq));
-      Test.make ~name:"acq/approx-e2e-optimized"
-        (stage (fun () ->
-             L.Approx.answer ~backend:L.Approx.Algebra_optimized adb aq));
-    ]
-  in
-  let root = temp_dir "acq_bench" in
-  let results =
-    run_micro_tests ~quota:acq_quota
-      (sweep_tests @ star_tests @ triangle_tests @ approx_tests
-      @ acq_durable_retest_tests root)
-  in
-  let ns n =
-    List.find_map
-      (fun (nm, e, _) -> if String.equal nm n then Some e else None)
-      results
-  in
-  (match (ns (name 64 "naive"), ns (name 64 "fast")) with
-  | Some naive, Some fast when fast > 0. ->
-    Fmt.pr "@.  speedup at n=64 (fast over naive): %.1fx@." (naive /. fast)
-  | _ -> ());
-  Option.iter
-    (fun path -> write_json ~quota:acq_quota path results)
-    (value_of "--json" args)
-
-(* CI gate (--acq-sanity [--min-speedup F]): the correctness gates plus
-   one wall-clock comparison at the largest common sweep size — the
-   fast path must beat the naive padded plan by the required factor
-   (default 5x; BENCH_10.json records ~the real separation, this floor
-   just keeps CI robust to noisy runners). *)
 let acq_sanity args =
   let module L = Logicaldb in
   Fmt.pr "=== acq sanity: correctness gates + speedup floor ===@.";
@@ -862,33 +673,31 @@ let acq_sanity args =
     | None -> 5.0
   in
   let n = 64 in
-  let db, naive, _optimized, yplan = Acq.plans n Acq.path_q "path" in
-  let fast_answer = L.Yannakakis.run db yplan in
+  let db = Acq.db n in
+  let naive = L.Compile.query db Acq.path_q in
+  let optimized = L.Optimizer.optimize db naive in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (Unix.gettimeofday () -. t0, r)
   in
   let t_naive, naive_answer = time (fun () -> L.Algebra.run db naive) in
-  if not (L.Relation.equal naive_answer fast_answer) then begin
-    Fmt.epr "acq-sanity: naive and fast answers diverge at n=%d@." n;
-    exit 1
-  end;
+  if not (L.Relation.equal naive_answer (L.Algebra.run db optimized)) then
+    Acq.fail "naive and optimized answers diverge at n=%d" n;
   let runs = 50 in
-  let t_fast, () =
+  let t_opt, () =
     time (fun () ->
         for _ = 1 to runs do
-          ignore (L.Yannakakis.run db yplan)
+          ignore (L.Algebra.run db optimized)
         done)
   in
-  let t_fast = t_fast /. float_of_int runs in
-  let factor = if t_fast > 0. then t_naive /. t_fast else Float.infinity in
-  Fmt.pr "  n=%d: naive %.1f ms, fast %.3f ms — speedup %.1fx (floor %.1fx)@."
-    n (t_naive *. 1e3) (t_fast *. 1e3) factor floor;
-  if factor < floor then begin
-    Fmt.epr "acq-sanity: speedup %.1fx below the %.1fx floor@." factor floor;
-    exit 1
-  end
+  let t_opt = t_opt /. float_of_int runs in
+  let factor = if t_opt > 0. then t_naive /. t_opt else Float.infinity in
+  Fmt.pr
+    "  n=%d: naive %.1f ms, optimized %.3f ms — speedup %.1fx (floor %.1fx)@."
+    n (t_naive *. 1e3) (t_opt *. 1e3) factor floor;
+  if factor < floor then
+    Acq.fail "speedup %.1fx below the %.1fx floor" factor floor
 
 (* --- Part 3: per-phase breakdown through the observability layer --- *)
 
@@ -1263,7 +1072,6 @@ let () =
   else if List.mem "--incr" args then incr_bench args
   else if List.mem "--durable" args then durable_bench args
   else if List.mem "--acq-sanity" args then acq_sanity args
-  else if List.mem "--acq" args then acq_bench args
   else if List.mem "--e1-sanity" args then
     e1_sanity ()
   else begin

@@ -46,6 +46,10 @@ let handle f =
   | Eval.Eval_error msg ->
     Fmt.epr "evaluation error: %s@." msg;
     exit 2
+  | Compile.Unsupported msg ->
+    Fmt.epr "error: the algebra backends take first-order queries only (%s)@."
+      msg;
+    exit 2
   | Fuzz_corpus.Corpus_error msg ->
     Fmt.epr "corpus error: %s@." msg;
     exit 2
@@ -165,12 +169,12 @@ let kernel_arg =
 
 let backend_arg =
   let doc =
-    "Approximation back end: $(b,direct) (Tarskian evaluator), \
-     $(b,algebra) (compiled relational algebra) or $(b,optimized) \
-     (optimized algebra with the acyclic-query fast path: acyclic \
-     conjunctive queries are evaluated by Yannakakis's semijoin-reduced \
-     join-tree algorithm, everything else falls back to the optimized \
-     plan)."
+    "Approximation back end, for answers and sentences alike: \
+     $(b,direct) (Tarskian evaluator), $(b,algebra) (compiled relational \
+     algebra) or $(b,optimized) (the compiled plan after the optimizer's \
+     rewrites, which fuse conjunctions into equi-joins; a negated atom or \
+     inequality that a join binds is evaluated only over the bound \
+     tuples). The algebra back ends take first-order queries only."
   in
   Arg.(
     value
@@ -186,10 +190,10 @@ let backend_arg =
 
 let explain_arg =
   let doc =
-    "Before evaluating, print the query plan: the optimized algebra \
-     expression, and — when the acyclic-query fast path applies — the \
-     join tree with each node's variable coverage and the semijoin \
-     schedule of both reducer passes."
+    "Before evaluating, print the query plan: for $(b,-e approx), the \
+     plan of the selected $(b,--backend) (the Tarskian evaluator, the \
+     compiled algebra expression, or the optimized one); for the exact \
+     and possible engines, the prepared algebra plan run per structure."
   in
   Arg.(value & flag & info [ "explain" ] ~doc)
 
@@ -410,27 +414,20 @@ let run_resilient db q ~policy ~stats ~budget =
   end
 
 (* --explain: show how the query will be evaluated before running it.
-   For the approx engine the plan is over the storage the Semantic-mode
-   hat runs on (Ph1 plus the NE and alpha$P hooks); for the
-   exact/possible engines it is the reusable prepared plan, executed
-   against every image structure. *)
-let print_plan db q engine =
+   For the approx engine it is the selected backend's plan over the
+   storage the Semantic-mode hat runs on (Ph1 plus the NE and alpha$P
+   hooks), from the function evaluation runs; for the exact/possible
+   engines it is the reusable prepared plan, executed against every
+   image structure. *)
+let print_plan db q engine backend =
   (match engine with
   | Approximate -> (
-    let hat = Translate.query Translate.Semantic q in
-    let storage, hooks = Approx.storage db in
-    match Yannakakis.plan ~virtuals:hooks storage hat with
-    | Some p ->
-      Fmt.pr "plan: acyclic-CQ fast path (Yannakakis)@.%a@."
-        Yannakakis.pp_plan p
-    | None -> (
-      match Compile.prepared storage hat with
-      | Some plan ->
-        Fmt.pr "plan: not an acyclic CQ — optimized algebra fallback@.  %a@."
-          Algebra.pp plan
-      | None ->
-        Fmt.pr
-          "plan: outside the relational algebra — Tarskian evaluator@."))
+    match (backend, Approx.plan ~backend db q) with
+    | _, None -> Fmt.pr "plan: Tarskian evaluator (direct backend)@."
+    | Approx.Algebra_optimized, Some plan ->
+      Fmt.pr "plan: optimized relational algebra@.  %a@." Algebra.pp plan
+    | _, Some plan ->
+      Fmt.pr "plan: compiled relational algebra@.  %a@." Algebra.pp plan)
   | Exact | Possible -> (
     match Compile.prepared (Ph.ph1 db) q with
     | Some plan ->
@@ -467,7 +464,7 @@ let query_cmd =
         let q = Parser.query query_text in
         if explain then begin
           Query_check.validate db q;
-          print_plan db q engine
+          print_plan db q engine backend
         end;
         if not (Budget.is_unlimited budget) then begin
           if engine <> Exact then begin
@@ -485,7 +482,7 @@ let query_cmd =
             | Exact ->
               let v, s = Certain.certain_boolean_stats db q in
               (v, Some s)
-            | Approximate -> (Approx.boolean db q, None)
+            | Approximate -> (Approx.boolean ~backend db q, None)
             | Possible ->
               let v, s = Certain.possible_boolean_stats db q in
               (v, Some s)
@@ -669,19 +666,10 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "faults" ] ~doc)
   in
-  let min_acq_detected_arg =
-    let doc =
-      "Fail (exit 1) unless at least $(docv) instances took the \
-       acyclic-query fast path — guards the [acq-parity] oracle against \
-       an acyclicity test so strict it always falls back."
-    in
-    Arg.(value & opt int 0 & info [ "min-acq-detected" ] ~docv:"N" ~doc)
-  in
   let run seed count max_depth unknown_density noise replay corpus_dir
-      no_shrink no_typed faults min_acq_detected trace metrics =
+      no_shrink no_typed faults trace metrics =
     handle (fun () ->
         with_observability ~trace ~metrics (fun () ->
-            Fuzz_oracle.reset_acq_detection ();
             match replay with
             | Some path ->
               let cases =
@@ -734,19 +722,7 @@ let fuzz_cmd =
               in
               let outcome = Fuzz.run ~config () in
               Fmt.pr "%a@." Fuzz.pp_outcome outcome;
-              let detected, total = Fuzz_oracle.acq_detection () in
-              if total > 0 then
-                Fmt.pr "acq fast path taken on %d/%d instances (%.1f%%)@."
-                  detected total
-                  (100.0 *. float_of_int detected /. float_of_int total);
-              if not (Fuzz.clean outcome) then exit 1;
-              if detected < min_acq_detected then begin
-                Fmt.epr
-                  "error: only %d instances took the acq fast path \
-                   (--min-acq-detected %d)@."
-                  detected min_acq_detected;
-                exit 1
-              end))
+              if not (Fuzz.clean outcome) then exit 1))
   in
   let doc =
     "Differential fuzzing of the engines with theorem-level oracles: random \
@@ -762,7 +738,7 @@ let fuzz_cmd =
     Cterm.(
       const run $ seed_arg $ count_arg $ max_depth_arg $ unknown_density_arg
       $ noise_arg $ replay_arg $ corpus_dir_arg $ no_shrink_arg $ no_typed_arg
-      $ faults_arg $ min_acq_detected_arg $ trace_arg $ metrics_arg)
+      $ faults_arg $ trace_arg $ metrics_arg)
 
 (* --- repl --- *)
 

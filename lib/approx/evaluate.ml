@@ -3,6 +3,8 @@ module Query = Vardi_logic.Query
 module Relation = Vardi_relational.Relation
 module Eval = Vardi_relational.Eval
 module Compile = Vardi_relational.Compile
+module Optimizer = Vardi_relational.Optimizer
+module Algebra = Vardi_relational.Algebra
 module Cw_database = Vardi_cwdb.Cw_database
 module Query_check = Vardi_cwdb.Query_check
 module Ph = Vardi_cwdb.Ph
@@ -48,29 +50,28 @@ let storage ?(mode = Translate.Semantic) lb =
       in
       (ph1, hooks))
 
+(* The relational-algebra plan [backend] runs [hat] with over [db], or
+   [None] for the Tarskian evaluator. *)
+let backend_plan backend db hat =
+  match backend with
+  | Direct -> None
+  | Algebra -> Some (Compile.query db hat)
+  | Algebra_optimized -> Some (Optimizer.optimize db (Compile.query db hat))
+
+let plan ?(mode = Translate.Semantic) ~backend lb q =
+  Query_check.validate lb q;
+  let db, _ = storage ~mode lb in
+  backend_plan backend db (Translate.query mode q)
+
 let answer ?(mode = Translate.Semantic) ?(backend = Direct) lb q =
   Query_check.validate lb q;
   Obs.span "approx.answer" (fun () ->
       let hat = translate mode q in
       let db, hooks = storage ~mode lb in
       Obs.span "approx.evaluate" (fun () ->
-          match backend with
-          | Direct -> Eval.answer ~virtuals:hooks db hat
-          | Algebra -> Compile.answer ~virtuals:hooks db hat
-          | Algebra_optimized -> (
-            (* Acyclic-CQ fast path: Semantic-mode hats preserve the
-               exists/and structure of CQ inputs (negations become
-               alpha$P and NE virtual atoms), so they stay eligible. *)
-            match Vardi_relational.Yannakakis.answer ~virtuals:hooks db hat with
-            | Some r ->
-              Obs.count "approx.acq_fastpath" 1;
-              r
-            | None ->
-              Obs.count "approx.acq_fallback" 1;
-              let plan =
-                Vardi_relational.Optimizer.optimize db (Compile.query db hat)
-              in
-              Vardi_relational.Algebra.run ~virtuals:hooks db plan)))
+          match backend_plan backend db hat with
+          | None -> Eval.answer ~virtuals:hooks db hat
+          | Some plan -> Algebra.run ~virtuals:hooks db plan))
 
 let member ?(mode = Translate.Semantic) lb q tuple =
   Query_check.validate lb q;
@@ -81,7 +82,7 @@ let member ?(mode = Translate.Semantic) lb q tuple =
       Obs.span "approx.evaluate" (fun () ->
           Eval.member ~virtuals:hooks db hat tuple))
 
-let boolean ?(mode = Translate.Semantic) lb q =
+let boolean ?(mode = Translate.Semantic) ?(backend = Direct) lb q =
   Query_check.validate lb q;
   if not (Query.is_boolean q) then
     invalid_arg "Approx.boolean: the query has answer variables";
@@ -89,4 +90,7 @@ let boolean ?(mode = Translate.Semantic) lb q =
       let hat = translate mode q in
       let db, hooks = storage ~mode lb in
       Obs.span "approx.evaluate" (fun () ->
-          Eval.satisfies ~virtuals:hooks db (Query.body hat)))
+          match backend_plan backend db hat with
+          | None -> Eval.satisfies ~virtuals:hooks db (Query.body hat)
+          | Some plan ->
+            not (Relation.is_empty (Algebra.run ~virtuals:hooks db plan))))

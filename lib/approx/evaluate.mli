@@ -12,16 +12,16 @@
     [Ph₂(LB)] is never copied: {!storage} is [Ph₁(LB)] plus virtual
     predicates, where [NE(x, y)] reads the uniqueness axioms in place
     ({!Vardi_cwdb.Ph.ph2_in_place}) and, in [Semantic] mode,
-    [alpha$P] runs the Lemma-10 test ({!Disagree.virtuals}). On the
-    acyclic fast path a virtual atom is evaluated only over the tuples
-    a stored atom binds ({!Vardi_relational.Yannakakis.run}), so such
-    a query reading [NE] or a k-ary [α_P] does not enumerate [D^k]
-    unless no stored atom covers the atom.
+    [alpha$P] runs the Lemma-10 test ({!Disagree.virtuals}).
 
     Three backends execute [Q̂]: direct Tarskian evaluation, or
     compilation to relational algebra — the paper's "implementation on
     the top of a standard database management system" — plain or
-    optimized.
+    optimized. The optimized plan fuses a conjunction into binary
+    equi-joins in atom order, and {!Vardi_relational.Algebra.run}
+    evaluates a virtual atom that such a join or intersection binds
+    only over the bound tuples, so a query reading [NE] or a k-ary
+    [α_P] enumerates [D^k] only where nothing binds the atom.
 
     Pick [Semantic] mode for the algebra backends. [Syntactic] mode is
     compatible with them but impractical beyond toy databases: each
@@ -48,8 +48,26 @@ type completeness =
 val completeness :
   Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> completeness
 
-(** [answer ?mode ?backend lb q] is [A(Q, LB)]. Defaults:
-    [mode = Translate.Semantic], [backend = Direct].
+(** [plan ?mode ~backend lb q] is the relational-algebra plan {!answer}
+    and {!boolean} run for [q] on [backend], over {!storage}: [None] for
+    [Direct], which runs the Tarskian evaluator; the
+    {!Vardi_relational.Compile.query} plan of [Q̂] for [Algebra]; that
+    plan after {!Vardi_relational.Optimizer.optimize} for
+    [Algebra_optimized]. Default [mode = Translate.Semantic].
+
+    @raise Invalid_argument as {!answer} does.
+    @raise Vardi_relational.Compile.Unsupported when the backend is an
+    algebra one and the query is second-order. *)
+val plan :
+  ?mode:Translate.mode ->
+  backend:backend ->
+  Vardi_cwdb.Cw_database.t ->
+  Vardi_logic.Query.t ->
+  Vardi_relational.Algebra.t option
+
+(** [answer ?mode ?backend lb q] is [A(Q, LB)]: {!plan} run by
+    {!Vardi_relational.Algebra.run}, or the Tarskian evaluator for
+    [Direct]. Defaults: [mode = Translate.Semantic], [backend = Direct].
 
     @raise Invalid_argument when the query mentions symbols outside the
     vocabulary of [lb] (see {!Vardi_cwdb.Query_check}).
@@ -71,16 +89,23 @@ val member :
   string list ->
   bool
 
-(** [boolean ?mode lb q] decides a Boolean query.
-    @raise Invalid_argument when [q] has answer variables. *)
+(** [boolean ?mode ?backend lb q] decides a Boolean query on [backend]:
+    the Tarskian evaluator for [Direct] (the default), otherwise whether
+    the arity-0 answer of {!plan} is nonempty.
+    @raise Invalid_argument when [q] has answer variables.
+    @raise Vardi_relational.Compile.Unsupported as {!answer} does. *)
 val boolean :
-  ?mode:Translate.mode -> Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> bool
+  ?mode:Translate.mode ->
+  ?backend:backend ->
+  Vardi_cwdb.Cw_database.t ->
+  Vardi_logic.Query.t ->
+  bool
 
 (** [storage ?mode lb] is the database and hooks [Q̂] runs on: [Ph₁(lb)]
     with [NE] read from the uniqueness axioms in place, plus the
     [alpha$P] hooks when [mode = Semantic] (the default). The build
-    runs in the [approx.ph2] span. {!answer}, {!member}, {!boolean} and
-    the CLI's plan printers all use it.
+    runs in the [approx.ph2] span. {!answer}, {!member}, {!boolean},
+    {!plan} and the CLI's [compile] printer all use it.
 
     @raise Invalid_argument when [lb]'s vocabulary declares [NE], as
     {!Vardi_cwdb.Ph.ph2} does. *)

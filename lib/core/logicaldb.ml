@@ -76,8 +76,6 @@ module Eval = Vardi_relational.Eval
 module Algebra = Vardi_relational.Algebra
 module Compile = Vardi_relational.Compile
 module Optimizer = Vardi_relational.Optimizer
-module Hypergraph = Vardi_relational.Hypergraph
-module Yannakakis = Vardi_relational.Yannakakis
 
 (* CW logical databases *)
 module Cw_database = Vardi_cwdb.Cw_database

@@ -5,9 +5,6 @@ module Pretty = Vardi_logic.Pretty
 module Vocabulary = Vardi_logic.Vocabulary
 module Relation = Vardi_relational.Relation
 module Eval = Vardi_relational.Eval
-module Compile = Vardi_relational.Compile
-module Algebra = Vardi_relational.Algebra
-module Yannakakis = Vardi_relational.Yannakakis
 module Ph = Vardi_cwdb.Ph
 module Cw_database = Vardi_cwdb.Cw_database
 module Query_check = Vardi_cwdb.Query_check
@@ -46,7 +43,6 @@ let oracle_ids =
     "approx-backend-algebra";
     "approx-backend-optimized";
     "approx-explicit-ph2";
-    "acq-parity";
     "approx-sound";
     "approx-complete";
     "naive-tables-positive";
@@ -250,6 +246,12 @@ let check_boolean ctx db q =
             (Printf.sprintf
                "completeness theorem applies but approx %b <> exact %b" approx
                exact));
+      expect_equal_bool ctx "approx-backend-algebra" ~reference:approx
+        ~label:"Algebra backend" (fun () ->
+          Approx.boolean ~backend:Approx.Algebra db q);
+      expect_equal_bool ctx "approx-backend-optimized" ~reference:approx
+        ~label:"optimized Algebra backend" (fun () ->
+          Approx.boolean ~backend:Approx.Algebra_optimized db q);
       check_explicit_ph2 ctx ~equal:Bool.equal ~show:string_of_bool ~approx
         (fun () ->
           let ph2, alpha, hat = explicit_ph2 db q in
@@ -342,61 +344,6 @@ let check_relational ctx db q =
                  (String.concat ", " tuple))
             (fun () -> Certain.certain_member db q tuple))
         (tuples k)
-
-(* --- the acq-parity oracle ---
-
-   The acyclic-query fast path (hypergraph → join tree → semijoin
-   reduction) must be answer-identical to the naive evaluators on
-   every query, whichever branch the dispatcher takes. Both branches
-   are checked against the Tarskian [Eval] reference on [Ph₁(LB)]:
-   when detection succeeds, the Yannakakis answer AND the optimized
-   algebra plan must agree with it; when it falls back, the optimized
-   plan alone is compared (the fast path never ran). The
-   detected/total counters are exposed so a campaign can assert a
-   detection-rate floor — a too-strict acyclicity test that always
-   falls back would otherwise pass silently. *)
-
-let acq_detected = Atomic.make 0
-let acq_total = Atomic.make 0
-
-let acq_detection () = (Atomic.get acq_detected, Atomic.get acq_total)
-
-let reset_acq_detection () =
-  Atomic.set acq_detected 0;
-  Atomic.set acq_total 0
-
-let check_acq_parity ctx db q =
-  let oracle = "acq-parity" in
-  let pb = Ph.ph1 db in
-  match guard ctx oracle (fun () -> Yannakakis.answer pb q) with
-  | None -> ()
-  | Some dispatch ->
-    Atomic.incr acq_total;
-    if dispatch <> None then begin
-      Atomic.incr acq_detected;
-      Obs.count "fuzz.acq_detected" 1
-    end;
-    (match guard ctx oracle (fun () -> Eval.answer pb q) with
-    | None -> ()
-    | Some reference ->
-      (match dispatch with
-      | Some fast ->
-        if not (Relation.equal reference fast) then
-          add ctx oracle
-            (Printf.sprintf
-               "Yannakakis fast path disagrees: reference %s, got %s"
-               (rel reference) (rel fast))
-      | None -> ());
-      (* [prepared] compiles + optimizes once; [None] (second-order
-         query) has no algebra path to compare. *)
-      match guard ctx oracle (fun () -> Compile.prepared pb q) with
-      | None | Some None -> ()
-      | Some (Some plan) ->
-        expect_equal_rel ctx oracle ~reference
-          ~label:
-            (if dispatch = None then "optimized plan (fallback branch)"
-             else "optimized plan (detected branch)")
-          (fun () -> Algebra.run pb plan))
 
 (* --- the kernel-parity oracle ---
 
@@ -1041,7 +988,6 @@ let check ?faults_seed db q =
       check_ldb_parse_parity ctx db;
       if Query.is_boolean q then check_boolean ctx db q
       else check_relational ctx db q;
-      check_acq_parity ctx db q;
       check_kernel_parity ctx db q;
       if Query.is_boolean q then check_resilient_bool ctx db q
       else check_resilient_rel ctx db q;

@@ -16,19 +16,16 @@
       {!Vardi_approx.Evaluate.completeness} says a completeness
       theorem applies;
     - [approx-backend-algebra], [approx-backend-optimized]: the
-      Tarskian, algebra and optimized-algebra backends agree;
+      Tarskian, algebra and optimized-algebra backends agree, on
+      answers and on sentences. The optimized backend runs the
+      optimizer's fused joins and bounds virtual atoms in
+      {!Vardi_relational.Algebra.run}, so this is the oracle for both
+      over every instance's [Q̂];
     - [approx-explicit-ph2]: the approximation equals [Q̂] evaluated by
       {!Vardi_relational.Eval} over the paper-literal
       {!Vardi_cwdb.Ph.ph2}, whose [NE] relation is materialized, with
       only the [alpha$P] hooks. The backends all read [NE] in place, so
       this is the oracle that catches a wrong [NE];
-    - [acq-parity]: the acyclic-query fast path
-      ({!Vardi_relational.Yannakakis}) is answer-identical to the
-      Tarskian evaluator on [Ph₁(LB)] whenever it detects an acyclic
-      CQ, and the optimized algebra plan agrees on both the detected
-      and the fallback branch; {!acq_detection} exposes the
-      detected/total counts so campaigns can gate on a minimum
-      detection rate;
     - [naive-tables-positive]: on positive queries the naive-tables
       baseline equals the certain answer (Imielinski–Lipski);
     - [certain-subset-possible], [possible-duality]: modal sanity —
@@ -108,13 +105,6 @@ val check :
   Vardi_cwdb.Cw_database.t ->
   Vardi_logic.Query.t ->
   violation list
-
-(** [acq_detection ()] is [(detected, total)]: how many [acq-parity]
-    checks took the Yannakakis fast path out of how many ran since the
-    last {!reset_acq_detection}. Process-global, updated atomically. *)
-val acq_detection : unit -> int * int
-
-val reset_acq_detection : unit -> unit
 
 (** [check_typed tdb tq] runs the typed-lane oracles. *)
 val check_typed :

@@ -81,22 +81,65 @@ let constant_of db c =
   try Database.constant db c
   with Not_found -> error "Algebra: unknown constant %s" c
 
+(* A [Virtual] operand, or a column permutation of one: its name and,
+   for each operand column, the virtual column it holds. *)
+let virtual_operand = function
+  | Virtual (name, k) -> Some (name, Array.init k Fun.id)
+  | Project (cols, Virtual (name, k))
+    when List.sort compare cols = List.init k Fun.id ->
+    Some (name, Array.of_list cols)
+  | _ -> None
+
+(* For an operand of width [k] that meets the other operand on [pairs]
+   (other column, operand column), the other column fixing each operand
+   column; [None] when some operand column is left free. *)
+let fixing k pairs =
+  let src = Array.make k (-1) in
+  List.iter (fun (o, c) -> src.(c) <- o) pairs;
+  if Array.mem (-1) src then None else Some (Array.to_list src)
+
+let project cols r =
+  Relation.fold
+    (fun row acc ->
+      let arr = Array.of_list row in
+      Relation.add (List.map (fun i -> arr.(i)) cols) acc)
+    r
+    (Relation.empty (List.length cols))
+
 let run ?(virtuals = Eval.no_virtuals) db expr =
   (* Validate the whole tree (arities, column ranges) up front so run
      failures always surface as Eval_error. *)
   let _ = arity db expr in
+  let hook name =
+    match virtuals name with
+    | Some check -> check
+    | None -> error "Algebra: no implementation for virtual relation %s" name
+  in
+  (* The rows of a virtual operand that can meet a row of [other], when
+     [src] names the column of [other] that fixes each operand column:
+     [other] projected onto [src], kept where the hook holds, so the
+     hook runs once per distinct row. Inter, Join and Semijoin give the
+     same answer on these rows as on the operand built over D^k, since
+     every operand row they keep is such a projection. *)
+  let bounded (name, cols, src) other =
+    let check = hook name in
+    let args = Array.make (Array.length cols) "" in
+    Relation.filter
+      (fun row ->
+        List.iteri (fun i v -> args.(cols.(i)) <- v) row;
+        check (Array.to_list args))
+      (project src other)
+  in
   let rec go expr =
     match expr with
     | Base p -> (
       match Database.relation_opt db p with
       | Some r -> r
       | None -> error "Algebra: unknown base relation %s" p)
-    | Virtual (name, k) -> (
-      match virtuals name with
-      | None -> error "Algebra: no implementation for virtual relation %s" name
-      | Some check ->
-        Obs.count "relational.virtual_full" 1;
-        Relation.filter check (Relation.full ~domain:(Database.domain db) k))
+    | Virtual (name, k) ->
+      let check = hook name in
+      Obs.count "relational.virtual_full" 1;
+      Relation.filter check (Relation.full ~domain:(Database.domain db) k)
     | Domain ->
       Relation.of_tuples 1 (List.map (fun e -> [ e ]) (Database.domain db))
     | Empty k -> Relation.empty k
@@ -114,17 +157,10 @@ let run ?(virtuals = Eval.no_virtuals) db expr =
           not (String.equal (constant_of db c) (constant_of db d))
       in
       Relation.filter keep r
-    | Project (cols, e) ->
-      let r = go e in
-      Relation.fold
-        (fun row acc ->
-          let arr = Array.of_list row in
-          Relation.add (List.map (fun i -> arr.(i)) cols) acc)
-        r
-        (Relation.empty (List.length cols))
+    | Project (cols, e) -> project cols (go e)
     | Product (a, b) -> Relation.product (go a) (go b)
     | Join (pairs, a, b) ->
-      let ra = go a and rb = go b in
+      let ra, rb = operands ~pairs a b in
       let lcols = List.map fst pairs and rcols = List.map snd pairs in
       let key arr cols = List.map (fun i -> arr.(i)) cols in
       let table : (string list, string list list) Hashtbl.t =
@@ -148,7 +184,7 @@ let run ?(virtuals = Eval.no_virtuals) db expr =
               acc matches)
         ra (Relation.empty out)
     | Semijoin (pairs, a, b) ->
-      let ra = go a and rb = go b in
+      let ra, rb = operands ~pairs a b in
       let lcols = List.map fst pairs and rcols = List.map snd pairs in
       let key arr cols = List.map (fun i -> arr.(i)) cols in
       let keys : (string list, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -159,8 +195,32 @@ let run ?(virtuals = Eval.no_virtuals) db expr =
         (fun row -> Hashtbl.mem keys (key (Array.of_list row) lcols))
         ra
     | Union (a, b) -> Relation.union (go a) (go b)
-    | Inter (a, b) -> Relation.inter (go a) (go b)
+    | Inter (a, b) ->
+      let ra, rb = operands a b in
+      Relation.inter ra rb
     | Diff (a, b) -> Relation.diff (go a) (go b)
+  (* Both operands of a binary node whose rows meet on [pairs] (left
+     column, right column), or column by column when [pairs] is absent
+     ([Inter]). A virtual operand whose every column the other operand
+     fixes is built by [bounded] from the other operand's rows. *)
+  and operands ?pairs a b =
+    let fixed operand pairs =
+      Option.bind (virtual_operand operand) (fun (name, cols) ->
+          let k = Array.length cols in
+          let pairs =
+            Option.value pairs ~default:(List.init k (fun i -> (i, i)))
+          in
+          Option.map (fun src -> (name, cols, src)) (fixing k pairs))
+    in
+    let swapped = Option.map (List.map (fun (i, j) -> (j, i))) pairs in
+    match (fixed b pairs, fixed a swapped) with
+    | Some v, _ ->
+      let ra = go a in
+      (ra, bounded v ra)
+    | None, Some v ->
+      let rb = go b in
+      (bounded v rb, rb)
+    | None, None -> (go a, go b)
   in
   go expr
 

@@ -15,8 +15,9 @@ type selection =
 
 type t =
   | Base of string                    (** a stored relation *)
-  | Virtual of string * int           (** computed relation, materialized from
-                                          {!Eval.virtuals} over [D^arity] *)
+  | Virtual of string * int           (** computed relation, decided by
+                                          {!Eval.virtuals}; see {!run} for
+                                          when it is built over [D^arity] *)
   | Domain                            (** the unary relation holding all of [D] *)
   | Empty of int                      (** the empty [k]-ary relation *)
   | Select of selection * t
@@ -49,9 +50,18 @@ type t =
     out of range, or arity mismatches between set-operation operands. *)
 val arity : Database.t -> t -> int
 
-(** [run ?virtuals db e] evaluates [e] bottom-up. Each [Virtual] node
-    is materialized over [D^arity]; each such build adds one to the Obs
-    counter [relational.virtual_full].
+(** [run ?virtuals db e] evaluates [e] bottom-up.
+
+    A [Virtual] operand of an [Inter], [Join] or [Semijoin] node, or a
+    column permutation ([Project] of a permutation) of one, is bounded
+    when the other operand fixes every one of its columns: every column
+    for [Inter], and for a join or semijoin every column of the virtual
+    side appears in a pair. Its relation is then the other operand's
+    rows projected onto those columns and kept where the hook holds,
+    and nothing enumerates [D^arity]; the answer is the same. The right
+    operand is tried first. Every other [Virtual] node is materialized
+    over [D^arity], and each such build adds one to the Obs counter
+    [relational.virtual_full].
     @raise Eval.Eval_error as {!arity} does, and when a [Virtual] node
     has no entry in [virtuals]. *)
 val run : ?virtuals:Eval.virtuals -> Database.t -> t -> Relation.t

@@ -359,20 +359,25 @@ let virtual_full_count f =
     (List.assoc_opt "relational.virtual_full"
        (Obs.counter_totals (Obs.events buf)))
 
-(* A virtual atom a stored atom binds is filtered, not built over
-   D^k; one that nothing binds is built and counted, on the Yannakakis
-   path and on the algebra fallback alike. Over a fully specified
-   128-constant database. *)
+(* A virtual atom that a stored atom or a join binds is filtered, not
+   built over D^k: on either side of an intersection, permuted, under a
+   semijoin, or bound by a two-atom join. One that nothing binds (all
+   of NE, or alpha$S with its second column free) is built and
+   counted. Over a fully specified 128-constant database whose S holds
+   the reverse of four R pairs, so that reading ~S(y, x) as ~S(x, y)
+   changes the answer. *)
 let test_virtual_full_counter () =
   let n = 128 in
   let names = Array.init n (Printf.sprintf "c%03d") in
   let chain p shift =
     List.init n (fun i -> (p, [ names.(i); names.((i + shift) mod n) ]))
   in
+  let reversed = List.init 4 (fun i -> ("S", [ names.(i + 1); names.(i) ])) in
+  let marked = List.init (n / 2) (fun i -> ("U", [ names.(2 * i) ])) in
   let db =
     Cw_database.fully_specify
-      (database ~predicates:[ ("R", 2); ("S", 2) ]
-         ~facts:(chain "R" 1 @ chain "S" 2) ())
+      (database ~predicates:[ ("R", 2); ("S", 2); ("U", 1) ]
+         ~facts:(chain "R" 1 @ chain "S" 3 @ reversed @ marked) ())
   in
   let builds text expected_rows =
     let answer = ref (Relation.empty 0) in
@@ -388,6 +393,15 @@ let test_virtual_full_counter () =
   check_int "alpha bound by R" 0
     (builds "(x). exists y. R(x, y) /\\ ~S(x, y)" n);
   check_int "NE bound by R" 0 (builds "(x, y). R(x, y) /\\ ~(x = y)" n);
+  check_int "alpha left of R" 0 (builds "(x, y). ~S(x, y) /\\ R(x, y)" n);
+  check_int "permuted alpha" 0
+    (builds "(x, y). R(x, y) /\\ ~S(y, x)" (n - 4));
+  check_int "alpha under a semijoin" 0
+    (builds "(x). exists y. R(x, y) /\\ ~U(y)" (n / 2));
+  check_int "alpha bound by a join" 0
+    (builds "(x, y). exists z. R(x, z) /\\ R(z, y) /\\ ~S(x, y)" n);
+  check_int "alpha with a free column" 1
+    (builds "(x, y). exists z. R(x, z) /\\ ~S(z, y)" ((n * (n - 1)) - 4));
   check_int "NE bound by nothing" 1 (builds "(x, y). ~(x = y)" (n * (n - 1)));
   let storage, hooks = Approx.storage db in
   let plan =

@@ -87,6 +87,18 @@ let test_exit_usage () =
       check_exit "query --algorithm" 2
         (run_ldb
            [ "query"; db; "(). TEACHES(socrates, plato)"; "--algorithm"; "naive" ]);
+      (* the optimized plan is the one join strategy: the fast path's
+         detection floor is gone *)
+      check_exit "fuzz --min-acq-detected" 2
+        (run_ldb [ "fuzz"; "--count"; "0"; "--min-acq-detected"; "50" ]);
+      (* the algebra backends compile first-order queries only, for
+         answers and sentences alike *)
+      check_exit "second-order sentence on --backend optimized" 2
+        (run_ldb
+           [
+             "query"; db; "(). exists2 P/1. forall x. P(x)"; "-e"; "approx";
+             "--backend"; "optimized";
+           ]);
       check_exit "budget with a budgetless engine" 2
         (run_ldb
            [ "query"; db; "(). TEACHES(socrates, plato)"; "-e"; "approx"; "--timeout"; "1" ]))
@@ -163,6 +175,55 @@ let test_kernel_flag () =
              "--kernel"; "jit";
            ]))
 
+(* --explain describes the backend that runs, and a sentence runs on
+   the selected backend too: only the algebra backends count the D^k
+   build of an unbound NE. *)
+let test_explain_backend () =
+  with_db (fun db ->
+      let explain text backend =
+        let code, out =
+          run_ldb
+            [
+              "query"; db; text; "-e"; "approx"; "--explain";
+              "--backend"; backend;
+            ]
+        in
+        Alcotest.(check int) (backend ^ " exit code") 0 code;
+        out
+      in
+      Alcotest.(check bool) "direct is Tarskian" true
+        (contains
+           (explain "(x). exists y. TEACHES(x, y) /\\ ~TEACHES(y, x)" "direct")
+           "plan: Tarskian evaluator");
+      (* the compiled plan pads ~TEACHES(y, y) with a DOM column; the
+         optimizer turns it into a semijoin *)
+      let text = "(x). exists y. TEACHES(x, y) /\\ ~TEACHES(y, y)" in
+      let compiled = explain text "algebra" in
+      Alcotest.(check bool) "algebra is the compiled plan" true
+        (contains compiled "plan: compiled relational algebra"
+        && contains compiled "x DOM");
+      let optimized = explain text "optimized" in
+      Alcotest.(check bool) "optimized is the optimized plan" true
+        (contains optimized "plan: optimized relational algebra"
+        && contains optimized "semijoin["
+        && not (contains optimized "x DOM"));
+      let sentence = "(). exists x. exists y. ~(x = y)" in
+      let counts backend =
+        let code, out =
+          run_ldb
+            [
+              "query"; db; sentence; "-e"; "approx"; "--metrics";
+              "--backend"; backend;
+            ]
+        in
+        Alcotest.(check int) (backend ^ " sentence exit code") 0 code;
+        contains out "relational.virtual_full"
+      in
+      Alcotest.(check bool) "direct sentence is Tarskian" false
+        (counts "direct");
+      Alcotest.(check bool) "optimized sentence runs the plan" true
+        (counts "optimized"))
+
 let test_exit_sigint () =
   let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -195,4 +256,6 @@ let suite =
     Alcotest.test_case "--kernel is a no-op; unknown names exit 2"
       `Quick test_kernel_flag;
     Alcotest.test_case "exit 130: SIGINT" `Quick test_exit_sigint;
+    Alcotest.test_case "approx --explain follows --backend" `Quick
+      test_explain_backend;
   ]
