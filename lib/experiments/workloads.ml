@@ -43,7 +43,6 @@ let parse = Vardi_logic.Parser.query
 
 let mixed_query = parse "(x). (exists y. R(x, y)) /\\ ~P(x)"
 let positive_query = parse "(x). exists y. R(x, y) /\\ P(y)"
-let negative_sentence = parse "(). exists x. ~P(x) /\\ (exists y. R(x, y))"
 
 let random_pairs ~count ~seed =
   let state = Random.State.make [| seed; count |] in

@@ -1,5 +1,5 @@
 (** Deterministic workload generators shared by the experiments and
-    the Bechamel benches. *)
+    the tests. *)
 
 (** [parametric_db ~constants ~unknowns ~seed] builds a CW database
     over [constants] constants named [k0 ... k<n-1>], with predicates
@@ -16,13 +16,6 @@ val parametric_db :
     approximation is exercised on its incomplete fragment):
     [(x). (exists y. R(x, y)) /\ ~P(x)]. *)
 val mixed_query : Vardi_logic.Query.t
-
-(** A fixed positive query: [(x). exists y. R(x, y) /\ P(y)]. *)
-val positive_query : Vardi_logic.Query.t
-
-(** A fixed negative Boolean query:
-    [(). exists x. ~P(x) /\ exists y. R(x, y)]. *)
-val negative_sentence : Vardi_logic.Query.t
 
 (** Pools of random database/query pairs for the quality experiment
     (E6), deterministic in [seed]. *)

@@ -496,12 +496,3 @@ let stats t =
         s_structures_cached = Rtbl.length t.cache;
         s_queries_tracked = Hashtbl.length t.queries;
       })
-
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "@[<v>delta epoch: %d (tab epoch %d)@,\
-     memo: %d hits, %d misses@,\
-     slots: %d reused, %d rebuilt@,\
-     cached: %d structures, %d queries@]"
-    s.s_delta_epoch s.s_tab_epoch s.s_memo_hits s.s_memo_misses s.s_slot_reuses
-    s.s_slot_rebuilds s.s_structures_cached s.s_queries_tracked

@@ -163,4 +163,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : stats Fmt.t

@@ -7,16 +7,17 @@
     pipeline ([Vardi_approx]), the hardness reductions
     ([Vardi_reductions]) and the experiment registry
     ([Vardi_experiments.Registry]) are instrumented with it; [ldb query
-    --trace] and [bench/main.ml] render the output.
+    --trace] renders the output, and the [ldbbench] harness reads its
+    spans for the per-layer metrics.
 
     {2 Cost model}
 
     By default no sink is installed and every instrumentation point
     costs a single atomic load — the {e null-sink} fast path, cheap
-    enough to leave in the engines' hot loops unconditionally (verified
-    by the E1-medium micro-benchmark). Installing a sink turns the same
-    calls into event emissions; sinks serialize internally, so emission
-    is safe from any number of worker domains.
+    enough to leave in the engines' hot loops unconditionally (an
+    E1-medium measurement, recorded in EXPERIMENTS.md). Installing a
+    sink turns the same calls into event emissions; sinks serialize
+    internally, so emission is safe from any number of worker domains.
 
     {2 Concurrency}
 

@@ -11,7 +11,7 @@ let backoff_delay rng ~backoff_ms attempt =
   let jittered = (capped /. 2.) +. Random.State.float rng (capped /. 2.) in
   jittered /. 1000.
 
-let connect_once path =
+let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX path) with
   | () ->
@@ -20,25 +20,9 @@ let connect_once path =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
-let connect ?(retries = 0) ?(backoff_ms = 25) path =
-  if retries = 0 then connect_once path
-  else begin
-    let rng = Random.State.make_self_init () in
-    let rec go attempt =
-      match connect_once path with
-      | c -> c
-      | exception
-          Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-        when attempt < retries ->
-        Unix.sleepf (backoff_delay rng ~backoff_ms attempt);
-        go (attempt + 1)
-    in
-    go 0
-  end
-
 let connect_retry ?(attempts = 100) ?(delay = 0.05) path =
   let rec go n =
-    match connect_once path with
+    match connect path with
     | c -> c
     | exception
         Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)

@@ -4,8 +4,8 @@
    on generated plans and generated (db, query) instances, the
    membership probe on both answer forms agrees with
    materialize-then-mem, the engine agrees with the brute-force
-   reference, and the arity-specialized row comparators agree with
-   Irel.compare_rows. *)
+   reference (on the fixtures and on the E1-medium workload), and the
+   arity-specialized row comparators agree with Irel.compare_rows. *)
 
 open Logicaldb
 
@@ -336,9 +336,12 @@ let test_check_bounds () =
 (* --- engine-level spot checks ---------------------------------------- *)
 
 let test_compiled_engine_parity () =
+  let e1_medium =
+    Vardi_experiments.Workloads.parametric_db ~constants:16 ~unknowns:2 ~seed:7
+  in
   List.iter
-    (fun (db, text) ->
-      let query = q text in
+    (fun (db, query) ->
+      let text = Pretty.query_to_string query in
       if Query.is_boolean query then
         check_bool text
           (Fuzz_reference.certain_boolean db query)
@@ -348,11 +351,16 @@ let test_compiled_engine_parity () =
           (Fuzz_reference.answer db query)
           (Certain.answer db query))
     [
-      (socrates, "(x). exists y. TEACHES(x, y)");
-      (socrates, "(x). ~(exists y. TEACHES(x, y))");
-      (ripper, "(). exists x. MURDERER(x) /\\ POLITICIAN(x)");
-      (ripper, "(x). MURDERER(x) -> x != victoria");
-      (socrates, "(x). exists2 Q/1. Q(x) /\\ exists y. TEACHES(x, y)");
+      (socrates, q "(x). exists y. TEACHES(x, y)");
+      (socrates, q "(x). ~(exists y. TEACHES(x, y))");
+      (ripper, q "(). exists x. MURDERER(x) /\\ POLITICIAN(x)");
+      (ripper, q "(x). MURDERER(x) -> x != victoria");
+      (socrates, q "(x). exists2 Q/1. Q(x) /\\ exists y. TEACHES(x, y)");
+      (* E1-medium: 16 constants, 2 of them unknown. The scan refutes
+         all 5 tuples of the mixed query's seed, and keeps 5 of the
+         second query's 7. *)
+      (e1_medium, Vardi_experiments.Workloads.mixed_query);
+      (e1_medium, q "(x). ~(exists y. R(x, y))");
     ]
 
 let test_compiled_possible_parity () =

@@ -2,14 +2,22 @@
    concurrent-client parity with the engine and the one-shot CLI,
    plan-cache counters, busy backpressure, per-request budgets, SIGINT
    teardown, and trace-file integrity on error exit paths. The server
-   runs in-process (Serve.run on a systhread) except for the signal
-   test, which spawns ../bin/ldb.exe like test_cli does. *)
+   runs in-process (Serve.run on a systhread) except for the mixed-load
+   and signal tests, which spawn ../bin/ldb.exe like test_cli does. *)
 
 open Logicaldb
 module J = Serve_json
 module Client = Serve_client
 
 let exe = "../bin/ldb.exe"
+
+(* [wait_exit pid] is the exit code of child [pid], once it ends; a
+   child ended by a signal fails the test. *)
+let wait_exit pid =
+  match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED n -> n
+  | Unix.WSIGNALED n -> Alcotest.failf "killed by signal %d" n
+  | Unix.WSTOPPED n -> Alcotest.failf "stopped by signal %d" n
 
 (* Same harness as test_cli's run_ldb, duplicated so the suites stay
    independent: stdin/stderr on /dev/null, stdout captured. *)
@@ -30,13 +38,7 @@ let run_ldb args =
       Unix.close null_in;
       Unix.close out;
       Unix.close null_err;
-      let _, status = Unix.waitpid [] pid in
-      let code =
-        match status with
-        | Unix.WEXITED n -> n
-        | Unix.WSIGNALED n -> Alcotest.failf "killed by signal %d" n
-        | Unix.WSTOPPED n -> Alcotest.failf "stopped by signal %d" n
-      in
+      let code = wait_exit pid in
       let ic = open_in out_file in
       let text =
         Fun.protect
@@ -45,13 +47,15 @@ let run_ldb args =
       in
       (code, text))
 
-let with_db f =
+(* [with_db ?db f] runs [f] on a temporary .ldb file holding [db]
+   (default: the Socrates database). *)
+let with_db ?(db = Support.socrates_db ()) f =
   let path = Filename.temp_file "ldb_serve" ".ldb" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      output_string oc (Ldb_format.print (Support.socrates_db ()));
+      output_string oc (Ldb_format.print db);
       close_out oc;
       f path)
 
@@ -360,20 +364,25 @@ let test_mutations () =
                 | None -> Alcotest.fail "stats sessions without db g")
               | None -> Alcotest.fail "stats without sessions")))
 
-(* Mutating through the server must land on the same database the
-   one-shot pipeline produces: serve insert+query ≡ ldb mutate + ldb
-   query on files. *)
+(* The mutation script, step by step: every ack reports its step's
+   fact count and delta epoch (a re-insert of a present fact is a
+   no-op and reports the previous ones again), malformed and absent
+   facts answer their error codes, and the final rows equal the
+   one-shot pipeline's (ldb mutate, then ldb query on the file). *)
 let test_mutation_cli_parity () =
   with_db (fun db_path ->
       let q = "(x, y). TEACHES(x, y)" in
-      let delta_fact = "TEACHES(mystery, plato)" in
+      let mystery = "TEACHES(mystery, socrates)" in
       let mutated = Filename.temp_file "ldb_serve" ".ldb" in
       Fun.protect
         ~finally:(fun () -> Sys.remove mutated)
         (fun () ->
           let code, _ =
             run_ldb
-              [ "mutate"; db_path; "--insert"; delta_fact; "--output"; mutated ]
+              [
+                "mutate"; db_path; "--insert"; mystery; "--distinct";
+                "socrates,mystery"; "--output"; mutated;
+              ]
           in
           Alcotest.(check int) "ldb mutate exit 0" 0 code;
           let code, out = run_ldb [ "query"; mutated; q ] in
@@ -387,8 +396,31 @@ let test_mutation_cli_parity () =
           in
           with_server (fun socket ->
               with_client socket (fun c ->
-                  check_code "load" "ok" (load c "g" db_path);
-                  check_code "serve insert" "ok" (insert c "g" delta_fact);
+                  let ack label ~facts ?delta resp =
+                    check_code label "ok" resp;
+                    Alcotest.(check (option (float 0.)))
+                      (label ^ ": facts")
+                      (Some (float_of_int facts))
+                      (J.num_field "facts" resp);
+                    Option.iter
+                      (fun d -> Alcotest.(check int) (label ^ ": delta") d
+                          (delta_of resp))
+                      delta
+                  in
+                  ack "load" ~facts:1 (load c "g" db_path);
+                  check_code "probe" "ok" (query c "g" q);
+                  ack "insert" ~facts:2 ~delta:1 (insert c "g" mystery);
+                  ack "insert (round trip)" ~facts:3 ~delta:2
+                    (insert c "g" "TEACHES(plato, mystery)");
+                  ack "retract (round trip)" ~facts:2 ~delta:3
+                    (retract c "g" "TEACHES(plato, mystery)");
+                  ack "close to distinct" ~facts:2 ~delta:4
+                    (close_unknown ~to_:"distinct" c "g" "socrates" "mystery");
+                  ack "re-insert is a no-op" ~facts:2 ~delta:4
+                    (insert c "g" mystery);
+                  check_code "malformed fact" "parse_error" (insert c "g" "((");
+                  check_code "absent retract" "semantic_error"
+                    (retract c "g" "TEACHES(plato, plato)");
                   Alcotest.(check (list (list string)))
                     "served rows equal mutate-then-query rows" cli_rows
                     (rows (query c "g" q))))))
@@ -624,24 +656,127 @@ let test_trace_flush_on_exit () =
           Alcotest.(check int) "usage exit" 2 cli_code;
           check_trace_wellformed trace))
 
+(* --- a spawned daemon: concurrent mixed load, clean shutdown ------- *)
+
+(* Starts ../bin/ldb.exe with [args] in the background, its standard
+   streams on /dev/null, and returns its pid. *)
+let spawn_ldb args =
+  let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) null_in null_out
+      null_out
+  in
+  Unix.close null_in;
+  Unix.close null_out;
+  pid
+
+let mixed_queries =
+  [|
+    ("query", "(x). (exists y. R(x, y)) /\\ ~P(x)");
+    ("query", "(x). exists y. R(x, y) /\\ P(y)");
+    ("query", "(x). ~P(x)");
+    ("boolean", "(). exists x. ~P(x) /\\ (exists y. R(x, y))");
+  |]
+
+(* Client [k]'s 25 requests to database "w" of the daemon at [socket],
+   cycling through [mixed_queries]; an ok answer to query [j] must
+   carry [expected.(j)]. Client 0 also sends one non-JSON line
+   (parse_error) and one request capped at a single structure
+   (exhausted). Returns the failures, as messages. *)
+let mixed_client socket expected k =
+  let failures = ref [] in
+  let fail msg = failures := msg :: !failures in
+  let request c i =
+    if k = 0 && i = 0 then ("parse_error", Client.request_line c "not json")
+    else if k = 0 && i = 1 then
+      ( "exhausted",
+        query ~extra:[ ("max_structures", J.Num 1.) ] c "w"
+          (snd mixed_queries.(0)) )
+    else
+      let j = (k + i) mod Array.length mixed_queries in
+      let verb, text = mixed_queries.(j) in
+      let resp = rpc c (op verb [ ("db", J.Str "w"); ("query", J.Str text) ]) in
+      let good =
+        match expected.(j) with
+        | `Value v -> J.bool_field "value" resp = Some v
+        | `Rows r -> rows resp = r
+      in
+      if not good then
+        fail (Printf.sprintf "wrong answer to %s: %s" text (J.to_string resp));
+      ("ok", resp)
+  in
+  (try
+     let c = Client.connect_retry socket in
+     Fun.protect
+       ~finally:(fun () -> Client.close c)
+       (fun () ->
+         for i = 0 to 24 do
+           let want, resp = request c i in
+           if code resp <> want then
+             fail
+               (Printf.sprintf "expected %s, got %s" want (J.to_string resp))
+         done)
+   with e -> fail (Printexc.to_string e));
+  !failures
+
+(* 8 clients x 25 requests against a real daemon (2 workers, a queue
+   of 64) over a 12-constant, 2-unknown database, every ok answer
+   checked against the engine in-process. Then shutdown must end the
+   process with exit 0, reached only after every worker domain is
+   joined, and remove the socket file. *)
+let test_spawned_mixed_load () =
+  let db =
+    Vardi_experiments.Workloads.parametric_db ~constants:12 ~unknowns:2 ~seed:7
+  in
+  let expected =
+    Array.map
+      (fun (verb, text) ->
+        let q = Parser.query text in
+        if verb = "boolean" then `Value (Certain.certain_boolean db q)
+        else `Rows (Relation.tuples (Certain.answer db q) |> List.sort compare))
+      mixed_queries
+  in
+  with_db ~db (fun db_path ->
+      let socket = temp_socket () in
+      let pid =
+        spawn_ldb
+          [ "serve"; "--socket"; socket; "--workers"; "2"; "--queue"; "64" ]
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          if Sys.file_exists socket then Sys.remove socket)
+        (fun () ->
+          let setup = Client.connect_retry socket in
+          check_code "load" "ok" (load setup "w" db_path);
+          let failures = Array.make 8 [] in
+          List.init 8 (fun k ->
+              Thread.create
+                (fun () -> failures.(k) <- mixed_client socket expected k)
+                ())
+          |> List.iter Thread.join;
+          Alcotest.(check (list string)) "every response as expected" []
+            (List.concat (Array.to_list failures));
+          check_code "shutdown" "ok" (rpc setup (op "shutdown" []));
+          Client.close setup;
+          Alcotest.(check int) "clean shutdown exits 0" 0 (wait_exit pid);
+          Alcotest.(check bool)
+            "teardown removed the socket file" false (Sys.file_exists socket)))
+
 (* --- SIGINT: exit 130 with every domain joined --------------------- *)
 
 let test_serve_sigint () =
   with_db (fun db_path ->
       let socket = temp_socket () in
       let trace = Filename.temp_file "ldb_serve" ".trace" in
-      let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-      let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
       let pid =
-        Unix.create_process exe
-          [|
-            exe; "serve"; "--socket"; socket; "--debug-sleep";
-            "--db"; "g=" ^ db_path; "--trace"; "json:" ^ trace;
-          |]
-          null_in null_out null_out
+        spawn_ldb
+          [
+            "serve"; "--socket"; socket; "--debug-sleep"; "--db";
+            "g=" ^ db_path; "--trace"; "json:" ^ trace;
+          ]
       in
-      Unix.close null_in;
-      Unix.close null_out;
       Fun.protect
         ~finally:(fun () ->
           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -662,15 +797,10 @@ let test_serve_sigint () =
           in
           Thread.delay 0.3;
           Unix.kill pid Sys.sigint;
-          let _, status = Unix.waitpid [] pid in
+          let exit_code = wait_exit pid in
           Thread.join in_flight;
           (try Client.close c with _ -> ());
-          (match status with
-          | Unix.WEXITED 130 -> ()
-          | Unix.WEXITED n -> Alcotest.failf "exit %d, expected 130" n
-          | Unix.WSIGNALED n ->
-            Alcotest.failf "killed by signal %d, expected exit 130" n
-          | Unix.WSTOPPED _ -> Alcotest.fail "stopped, expected exit 130");
+          Alcotest.(check int) "SIGINT exits 130" 130 exit_code;
           (* Teardown ran: the socket file is gone (it is removed after
              the pool's domains are joined, so its absence also pins
              the join) and the trace was flushed and closed whole. *)
@@ -700,6 +830,8 @@ let suite =
       test_budget_exhausted;
     Alcotest.test_case "trace files are well-formed on error exits" `Quick
       test_trace_flush_on_exit;
+    Alcotest.test_case "spawned daemon: 8 clients x 25 mixed, clean shutdown"
+      `Quick test_spawned_mixed_load;
     Alcotest.test_case "SIGINT mid-service exits 130, domains joined" `Quick
       test_serve_sigint;
   ]
