@@ -54,7 +54,10 @@ let now_ns = Obs.now_ns
    positional budget cap force the stream one step past the cap, to
    learn whether work remained, without building a quotient (see
    [admit_within]), and lets a session substitute cached structures for
-   stream positions (see Iscan). *)
+   stream positions (see Iscan). A session's thunk goes further and
+   defers the quotient itself ([Iscan.structure.idb]), so the scans
+   below force it only where they evaluate, and a memo hit never
+   does. *)
 type scan_source = {
   source_plan : Iscan.plan;
   source_thunks : algorithm -> order -> (unit -> Iscan.structure) Seq.t;
@@ -202,11 +205,11 @@ let decide_member ~target ~order ~cancel lb q tuple =
   search ~cancel ~target
     (Iscan.structure_thunks ~order plan)
     (fun (s : Iscan.structure) ->
-      Icode.run_member s.idb cm (rename_row s.rename codes))
+      Icode.run_member (Lazy.force s.idb) cm (rename_row s.rename codes))
 
 let decide_boolean ~target ~order ~cancel ?wrap_check source body =
   let cs = Icode.compile_sentence (Iscan.symtab source.source_plan) body in
-  let check (s : Iscan.structure) = Icode.run_sentence s.idb cs in
+  let check (s : Iscan.structure) = Icode.run_sentence (Lazy.force s.idb) cs in
   let check = match wrap_check with Some w -> w check | None -> check in
   search ~cancel ~target (thunks source order) check
 
@@ -283,11 +286,11 @@ let prepare_answer lb tab q =
     let prog = Icode.compile_plan tab iplan in
     if Option.is_none (Icode.instrs prog) then
       Obs.count "certain.interp_fallback" 1;
-    fun (s : Iscan.structure) -> Icode.exec s.idb prog
+    fun (s : Iscan.structure) -> Icode.exec (Lazy.force s.idb) prog
   | None ->
     Obs.count "certain.interp_fallback" 1;
     let ca = Icode.compile_answer tab q in
-    fun s -> Icode.Rows (Icode.run_answer s.idb ca)
+    fun s -> Icode.Rows (Icode.run_answer (Lazy.force s.Iscan.idb) ca)
 
 (* [|C|^k], saturating at [max_int] — only used for the
    pruned-candidates counter, never for enumeration. *)

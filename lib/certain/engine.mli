@@ -288,7 +288,10 @@ val prepare : Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> prepared
     ~order:ord] over [source_plan] would yield there — that is what
     keeps positional budget caps and stats identical between a cached
     and a fresh scan (see {!Vardi_interned.Iscan.renamings}). Its first
-    argument is always [Kernel_partitions] (see {!algorithm}). *)
+    argument is always [Kernel_partitions] (see {!algorithm}). A
+    structure's quotient ([idb]) may be deferred: the engine forces it
+    only where it evaluates, so a wrapper that answers from the
+    renaming alone never builds it. *)
 type scan_source = {
   source_plan : Vardi_interned.Iscan.plan;
   source_thunks :
@@ -309,7 +312,8 @@ val source_of_plan : Vardi_interned.Iscan.plan -> scan_source
     per-structure check used by {!prepared_certain_boolean_stats}. Wrappers
     see the same structures at the same stream positions as the
     unwrapped scan, so memo hits change no stats and move no budget
-    caps.
+    caps; a hit that does not call the wrapped function leaves the
+    structure's quotient unbuilt.
     @raise Invalid_argument as {!validate}. *)
 val prepare_with :
   source:scan_source ->

@@ -662,9 +662,12 @@ let resilient_summary ~show (result, (stats : Resilient.stats)) =
    orders, and — the positional contract — the same resilient summaries
    as a freshly prepared query under a tripping budget (same qualified
    constructor, same provenance, same scan counters; a memo hit must
-   occupy exactly the stream position a fresh evaluation would). The
-   mutation sequence is derived deterministically from the instance, so
-   a violation replays from the driver's seed alone. *)
+   occupy exactly the stream position a fresh evaluation would). After
+   each mutation, the query prepared at the previous step is scanned
+   again, once the new view's prepares have claimed the memo, and must
+   still give the previous database's reference answer. The mutation
+   sequence is derived deterministically from the instance, so a
+   violation replays from the driver's seed alone. *)
 
 let check_incremental_parity ctx db q =
   let oracle = "incremental-parity" in
@@ -729,6 +732,25 @@ let check_incremental_parity ctx db q =
         end
       | _ -> false
     in
+    let orders =
+      [
+        (Certain.Fresh_first, "Fresh_first");
+        (Certain.Merge_first, "Merge_first");
+      ]
+    in
+    (* [prepared]'s answer under [order] against [reference]. *)
+    let expect_answer ~label ~order reference prepared =
+      match reference with
+      | None -> ()
+      | Some (`Bool reference) ->
+        expect_equal_bool ctx oracle ~reference ~label (fun () ->
+            fst (Certain.prepared_certain_boolean_stats ~order (prepared ())))
+      | Some (`Rel reference) ->
+        expect_equal_rel ctx oracle ~reference ~label (fun () ->
+            fst (Certain.prepared_answer_stats ~order (prepared ())))
+    in
+    (* Checks the session at [step] and returns what a later step needs
+       to re-scan it: the reference answer and a query prepared now. *)
     let compare_at step =
       let current = Session.db session in
       let reference =
@@ -741,20 +763,8 @@ let check_incremental_parity ctx db q =
           let label what =
             Printf.sprintf "step %d, %s under %s" step what ord_name
           in
-          (match reference with
-          | None -> ()
-          | Some (`Bool reference) ->
-            expect_equal_bool ctx oracle ~reference
-              ~label:(label "session answer") (fun () ->
-                fst
-                  (Certain.prepared_certain_boolean_stats ~order
-                     (Session.prepare session q)))
-          | Some (`Rel reference) ->
-            expect_equal_rel ctx oracle ~reference
-              ~label:(label "session answer") (fun () ->
-                fst
-                  (Certain.prepared_answer_stats ~order
-                     (Session.prepare session q))));
+          expect_answer ~label:(label "session answer") ~order reference
+            (fun () -> Session.prepare session q);
           (* Budgets: fresh-prepared and session-prepared must trip at
              the same stream position with the same provenance. *)
           List.iter
@@ -784,15 +794,33 @@ let check_incremental_parity ctx db q =
                        fresh_summary incr_summary)
               | _ -> ())
             [ (Resilient.Fail, "Fail"); (Resilient.Partial, "Partial") ])
-        [
-          (Certain.Fresh_first, "Fresh_first");
-          (Certain.Merge_first, "Merge_first");
-        ]
+        orders;
+      (reference, guard ctx oracle (fun () -> Session.prepare session q))
     in
-    compare_at 0;
+    (* A query prepared at the previous step, scanned after this step's
+       mutation and the new prepares, still answers at the previous
+       database: the memo its session claimed for the new view must not
+       leak into it, nor it into the memo. *)
+    let rescan_previous step (before, (reference, prepared)) =
+      Option.iter
+        (fun prepared ->
+          List.iter
+            (fun (order, ord_name) ->
+              expect_answer ~order reference
+                ~label:
+                  (Printf.sprintf "step %d, step %d's prepared query under %s"
+                     step before ord_name)
+                (fun () -> prepared))
+            orders)
+        prepared
+    in
+    let previous = ref (0, compare_at 0) in
     for step = 1 to 3 do
       match guard ctx oracle (fun () -> mutate ()) with
-      | Some true -> compare_at step
+      | Some true ->
+        let now = compare_at step in
+        rescan_previous step !previous;
+        previous := (step, now)
       | Some false | None -> ()
     done
 

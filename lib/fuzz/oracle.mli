@@ -60,7 +60,10 @@
       random mutation script answers as {!Reference} does on the
       mutated database after every step, and under a one-structure
       budget its prepared queries trip at the same stream position,
-      with the same provenance, as freshly prepared ones;
+      with the same provenance, as freshly prepared ones; a query
+      prepared at the previous step, scanned after the mutation and
+      the new prepares, still answers as {!Reference} does on the
+      previous database;
     - [query-roundtrip], [ldb-roundtrip]: pretty-printed queries and
       databases reparse to equal values;
     - [ldb-parse-parity]: the printed database, reformatted the ways a

@@ -48,23 +48,18 @@ type centry = {
   c_slots : (int * Irel.t) array;
 }
 
-(* The image answer is kept as the compiled kernel produced it —
-   packed keys, not unpacked rows — so a warm memo costs one int per
-   answer tuple. *)
-type memo_answer = {
-  m_sig : int array;
-  m_answer : Icode.answer;
-}
-
-type memo_bool = {
-  b_sig : int array;
-  b_val : bool;
-}
-
+(* One memo per query, from a structure's renaming to its result: the
+   image answer as the compiled kernel produced it (packed keys, not
+   unpacked rows, so a warm memo costs one int per answer tuple) or
+   the Boolean check. Every entry was computed at the one dependency
+   signature [qe_sig]; a prepare at another signature empties both
+   tables and claims them ([claim]). A query is Boolean or not, so
+   one of the two tables stays empty. *)
 type query_entry = {
   qe_deps : int array;  (* relation slots the query reads, sorted *)
-  qe_answers : memo_answer Rtbl.t;  (* renaming -> image answer *)
-  qe_bools : memo_bool Rtbl.t;  (* renaming -> Boolean check *)
+  mutable qe_sig : int array;
+  qe_answers : Icode.answer Rtbl.t;
+  qe_bools : bool Rtbl.t;
 }
 
 (* A materialized renaming stream. The partition enumeration depends
@@ -99,6 +94,12 @@ type t = {
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+(* Empty [entry]'s memo for [signature]. *)
+let retag entry signature =
+  Rtbl.reset entry.qe_answers;
+  Rtbl.reset entry.qe_bools;
+  entry.qe_sig <- signature
 
 let create ?(cache_capacity = 4096) ?(delta_epoch = 0) db =
   let plan = Iscan.prepare db in
@@ -208,6 +209,10 @@ let close_unknown t c d ~to_ =
         let k = Symtab.rel_count (Iscan.symtab plan) in
         let tab_epoch = v.v_tab_epoch + 1 in
         Rtbl.reset t.cache;
+        (* Queries prepared before the merge may still hold these
+           memos: emptied, and tagged with a signature no scan holds,
+           they serve and keep nothing. *)
+        Hashtbl.iter (fun _ entry -> retag entry [||]) t.queries;
         Hashtbl.reset t.queries;
         t.cache_era <- tab_epoch;
         t.view <-
@@ -238,11 +243,13 @@ let apply t m =
 
 (* --- the structure cache -------------------------------------------- *)
 
-(* [needed] marks the slots the consuming prepared query reads. Stale
-   non-needed slots are passed through as-is: the compiled answer plan
-   and the Boolean check only ever dereference the query's own
-   predicates, and the store-back below records true epochs, so a stale
-   pass-through can never be mistaken for fresh data by anyone else. *)
+(* The quotient under [repr], built from the cache: run only when the
+   memo misses (see [source_for]). [needed] marks the slots the
+   consuming prepared query reads. Stale non-needed slots are passed
+   through as-is: the compiled answer plan and the Boolean check only
+   ever dereference the query's own predicates, and the store-back
+   below records true epochs, so a stale pass-through can never be
+   mistaken for fresh data by anyone else. *)
 let structure_for t view needed repr =
   let plan = view.v_plan in
   let tab = Iscan.symtab plan in
@@ -259,7 +266,7 @@ let structure_for t view needed repr =
   | `Bypass ->
     (* A scan whose view predates a merge: the shared cache now speaks
        a different constant coding, so build fresh and leave it be. *)
-    Iscan.image plan repr
+    Lazy.force (Iscan.image plan repr).Iscan.idb
   | (`Hit _ | `Miss) as c ->
     let universe =
       match c with
@@ -314,7 +321,7 @@ let structure_for t view needed repr =
                if Rtbl.length t.cache < t.capacity then
                  Rtbl.replace t.cache repr
                    { c_universe = universe; c_slots = slots }));
-    { Iscan.idb = { Idb.tab; interp = repr; universe; rels }; rename = repr }
+    { Idb.tab; interp = repr; universe; rels }
 
 (* --- engine integration --------------------------------------------- *)
 
@@ -357,8 +364,14 @@ let cached_renamings t view order =
         end);
     reprs
 
+(* Memo first: a structure is handed out as its renaming with the
+   quotient deferred, and only an evaluation the memo misses forces
+   it. *)
 let source_for t view needed =
   let plan = view.v_plan in
+  let structure repr =
+    { Iscan.idb = lazy (structure_for t view needed repr); rename = repr }
+  in
   {
     Certain.source_plan = plan;
     source_thunks =
@@ -368,11 +381,11 @@ let source_for t view needed =
           | Some arr -> Array.to_seq arr
           | None -> Iscan.renamings ~order plan
         in
-        Seq.map (fun repr () -> structure_for t view needed repr) reprs);
+        Seq.map (fun repr () -> structure repr) reprs);
     source_discrete =
       (fun () ->
         let n = Symtab.size (Iscan.symtab plan) in
-        structure_for t view needed (Array.init (max n 1) Fun.id));
+        structure (Array.init (max n 1) Fun.id));
   }
 
 let deps_of tab q =
@@ -381,38 +394,53 @@ let deps_of tab q =
   |> List.sort_uniq Int.compare
   |> Array.of_list
 
-(* The dependency signature a memo entry is tagged with: the tab epoch
-   plus the slot epochs of exactly the predicates the query reads. A
-   delta on any other predicate leaves the signature unchanged, so the
-   memo keeps hitting across it. *)
+(* The dependency signature of a query's memo: the tab epoch plus the
+   slot epochs of exactly the predicates the query reads. A delta on
+   any other predicate leaves it unchanged, so the memo keeps hitting
+   across it. *)
 let signature_of view deps =
   Array.append
     [| view.v_tab_epoch |]
     (Array.map (fun slot -> view.v_slot_epochs.(slot)) deps)
 
-let query_entry t view q =
+(* The current view and [q]'s memo, claimed for the view's signature,
+   under one lock. A claim at a signature the memo does not hold
+   empties the memo; at the one it holds, it keeps it. The returned
+   signature is the memo's own array, which scans compare by identity:
+   signatures only grow, so a prepared query whose array is no longer
+   the memo's was prepared before a dependent delta. *)
+let claim t q =
   locked t (fun () ->
-      match Hashtbl.find_opt t.queries q with
-      | Some e -> e
-      | None ->
-        let e =
-          {
-            qe_deps = deps_of (Iscan.symtab view.v_plan) q;
-            qe_answers = Rtbl.create 64;
-            qe_bools = Rtbl.create 64;
-          }
-        in
-        if Hashtbl.length t.queries < t.capacity then
-          Hashtbl.replace t.queries q e;
-        e)
+      let view = t.view in
+      let entry =
+        match Hashtbl.find_opt t.queries q with
+        | Some e -> e
+        | None ->
+          let e =
+            {
+              qe_deps = deps_of (Iscan.symtab view.v_plan) q;
+              qe_sig = [||];
+              qe_answers = Rtbl.create 64;
+              qe_bools = Rtbl.create 64;
+            }
+          in
+          if Hashtbl.length t.queries < t.capacity then
+            Hashtbl.replace t.queries q e;
+          e
+      in
+      let signature = signature_of view entry.qe_deps in
+      if not (Rkey.equal signature entry.qe_sig) then retag entry signature;
+      (view, entry, entry.qe_sig))
 
-let wrap_answer t entry signature base (s : Iscan.structure) =
+(* [base] behind [table], one of [entry]'s memos. A scan whose
+   signature is no longer the memo's neither reads nor writes it, so
+   it never sees a newer view's results, and a prepared query left in
+   an outer cache keeps no stale entries alive. *)
+let memoized t entry signature table base (s : Iscan.structure) =
   let key = s.Iscan.rename in
   let hit =
     locked t (fun () ->
-        match Rtbl.find_opt entry.qe_answers key with
-        | Some { m_sig; m_answer } when m_sig = signature -> Some m_answer
-        | Some _ | None -> None)
+        if entry.qe_sig == signature then Rtbl.find_opt table key else None)
   in
   match hit with
   | Some r ->
@@ -424,41 +452,12 @@ let wrap_answer t entry signature base (s : Iscan.structure) =
     Atomic.incr t.memo_misses;
     Obs.count "incr.memo_miss" 1;
     locked t (fun () ->
-        if
-          Rtbl.mem entry.qe_answers key
-          || Rtbl.length entry.qe_answers < t.capacity
-        then
-          Rtbl.replace entry.qe_answers key { m_sig = signature; m_answer = r });
-    r
-
-let wrap_check t entry signature base (s : Iscan.structure) =
-  let key = s.Iscan.rename in
-  let hit =
-    locked t (fun () ->
-        match Rtbl.find_opt entry.qe_bools key with
-        | Some { b_sig; b_val } when b_sig = signature -> Some b_val
-        | Some _ | None -> None)
-  in
-  match hit with
-  | Some r ->
-    Atomic.incr t.memo_hits;
-    Obs.count "incr.memo_hit" 1;
-    r
-  | None ->
-    let r = base s in
-    Atomic.incr t.memo_misses;
-    Obs.count "incr.memo_miss" 1;
-    locked t (fun () ->
-        if
-          Rtbl.mem entry.qe_bools key
-          || Rtbl.length entry.qe_bools < t.capacity
-        then Rtbl.replace entry.qe_bools key { b_sig = signature; b_val = r });
+        if entry.qe_sig == signature && Rtbl.length table < t.capacity then
+          Rtbl.replace table key r);
     r
 
 let prepare ?kernel:_ t q =
-  let view = locked t (fun () -> t.view) in
-  let entry = query_entry t view q in
-  let signature = signature_of view entry.qe_deps in
+  let view, entry, signature = claim t q in
   let needed =
     let n = Symtab.rel_count (Iscan.symtab view.v_plan) in
     let a = Array.make (max n 1) false in
@@ -467,8 +466,8 @@ let prepare ?kernel:_ t q =
   in
   Certain.prepare_with
     ~source:(source_for t view needed)
-    ~wrap_answer:(wrap_answer t entry signature)
-    ~wrap_check:(wrap_check t entry signature)
+    ~wrap_answer:(memoized t entry signature entry.qe_answers)
+    ~wrap_check:(memoized t entry signature entry.qe_bools)
     view.v_db q
 
 (* --- stats ----------------------------------------------------------- *)

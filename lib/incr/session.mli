@@ -30,12 +30,18 @@
       re-binding is cheap precisely because the session retains the
       heavy state).
 
-    Per-query memo entries are finer than the delta epoch: each is
-    tagged with a {e dependency signature} — the tab epoch plus the
-    slot epochs of the predicates the query actually mentions
-    ({!Vardi_logic.Formula.free_preds}). A delta on a predicate the
-    query never reads leaves its signature unchanged, so re-running the
-    query after such a delta hits the memo for every structure.
+    Per-query memos are finer than the delta epoch. Each query has one
+    memo, from a structure's renaming to its result, and the memo holds
+    one {e dependency signature} — the tab epoch plus the slot epochs
+    of the predicates the query actually mentions
+    ({!Vardi_logic.Formula.free_preds}) — that every entry in it was
+    computed at. A delta on a predicate the query never reads leaves
+    its signature unchanged, so re-running the query after such a
+    delta hits the memo for every structure. A {!prepare} at a new
+    signature empties the memo and claims it; a query prepared before
+    that neither reads nor writes it (it evaluates every structure),
+    so it never sees a newer view's results and, kept in an outer plan
+    cache, keeps no stale entries alive.
 
     {2 Engine integration}
 
@@ -46,6 +52,10 @@
     budget caps trip identically incremental-vs-fresh, and memo hits
     still charge the [structures]/[evaluations] stats), and the
     per-structure answer/check functions are wrapped with the memo.
+    The scan is memo first: the stream hands out each renaming with its
+    quotient deferred ({!Vardi_interned.Iscan.structure}), the memo is
+    asked first, and only a miss builds the quotient, from the
+    structure cache. A warm re-scan builds no structure.
     The prepared value captures one immutable view: mutations swap the
     session's current view and never disturb in-flight scans.
 
@@ -57,7 +67,7 @@ type t
 
 (** [create db] starts a session resident on [db].
     [cache_capacity] bounds the quotient-structure cache, each
-    per-query memo table, the number of queries tracked and each
+    per-query memo, the number of queries tracked and each
     materialized renaming stream (entries, not bytes; default [4096]);
     beyond the bound existing entries are still served but new ones
     are not added. A renaming stream longer than the bound is
@@ -132,9 +142,11 @@ val apply : t -> mutation -> bool
     [Vardi_resilience.Resilient.prepared_*]. It captures the view at
     call time; after a mutation, call [prepare] again (the heavy state
     persists in the session, so re-preparing costs one query
-    compilation, not a rescan). The per-query memo stores each
-    structure's {!Vardi_interned.Icode.answer} as the compiled kernel
-    produced it (packed keys, not unpacked rows).
+    compilation, not a rescan). Under the same lock as the view is
+    read, it claims [q]'s memo for the view's signature, emptying the
+    memo when the signature moved. The memo stores each structure's
+    {!Vardi_interned.Icode.answer} as the compiled kernel produced it
+    (packed keys, not unpacked rows).
 
     [?kernel] is deprecated and ignored: there is one kernel. It stays
     in the signature only for callers that still pass it.
@@ -153,9 +165,11 @@ type stats = {
       (** per-structure evaluations answered from the memo *)
   s_memo_misses : int;  (** per-structure evaluations actually run *)
   s_slot_reuses : int;
-      (** cached relation slots served without rebuilding *)
+      (** cached relation slots served without rebuilding; counted
+          only when a memo miss builds a structure *)
   s_slot_rebuilds : int;
-      (** relation slots re-derived because their epoch moved *)
+      (** relation slots re-derived because their epoch moved (on
+          memo misses, like [s_slot_reuses]) *)
   s_structures_cached : int;
       (** quotient structures currently in the cache (not monotonic) *)
   s_queries_tracked : int;

@@ -210,20 +210,29 @@ let iter f t = Array.iter f t.rows
 let exists p t = Array.exists p t.rows
 let for_all p t = Array.for_all p t.rows
 
+(* Rows up to the first dropped one are kept without copying, so a
+   filter that keeps every row returns [t] and allocates nothing. *)
 let filter p t =
-  let n = Array.length t.rows in
-  if n = 0 then t
+  let rows = t.rows in
+  let n = Array.length rows in
+  let rec first_dropped i =
+    if i = n || not (p (Array.unsafe_get rows i)) then i
+    else first_dropped (i + 1)
+  in
+  let d = first_dropped 0 in
+  if d = n then t
   else begin
-    let out = Array.make n t.rows.(0) in
-    let w = ref 0 in
-    for i = 0 to n - 1 do
-      let row = Array.unsafe_get t.rows i in
+    let out = Array.make (n - 1) rows.(0) in
+    Array.blit rows 0 out 0 d;
+    let w = ref d in
+    for i = d + 1 to n - 1 do
+      let row = Array.unsafe_get rows i in
       if p row then begin
         out.(!w) <- row;
         incr w
       end
     done;
-    if !w = n then t else { t with rows = Array.sub out 0 !w }
+    { t with rows = (if !w = n - 1 then out else Array.sub out 0 !w) }
   end
 
 let map k f t =

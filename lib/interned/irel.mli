@@ -53,6 +53,11 @@ val fold : (row -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (row -> unit) -> t -> unit
 val exists : (row -> bool) -> t -> bool
 val for_all : (row -> bool) -> t -> bool
+
+(** [filter p t] keeps the rows [p] accepts, calling [p] once per row
+    in order. When [p] drops no row it returns [t] itself and allocates
+    nothing, as a survivor filter does on every structure that refutes
+    no candidate. *)
 val filter : (row -> bool) -> t -> t
 
 (** [map k f t] applies [f] to every row; the results must have arity

@@ -2,7 +2,7 @@ module Cw_database = Vardi_cwdb.Cw_database
 module Partition = Vardi_cwdb.Partition
 
 type structure = {
-  idb : Idb.t;
+  idb : Idb.t Lazy.t;
   rename : int array;  (* constant code -> representative code *)
 }
 
@@ -251,7 +251,7 @@ let finish plan node =
   let idb =
     { Idb.tab = plan.tab; interp = node.repr; universe; rels = node.load }
   in
-  { idb; rename = node.repr }
+  { idb = Lazy.from_val idb; rename = node.repr }
 
 (* The enumeration step (node extension bookkeeping) runs wherever the
    sequence is forced, while the last extension and [finish] are
@@ -308,7 +308,10 @@ let image plan map =
              (fun args -> Array.map (fun a -> Array.unsafe_get map a) args)
              plan.facts_by_slot.(slot)))
   in
-  { idb = { Idb.tab; interp = map; universe; rels }; rename = map }
+  {
+    idb = Lazy.from_val { Idb.tab; interp = map; universe; rels };
+    rename = map;
+  }
 
 let image_slot plan map slot =
   Irel.of_rows

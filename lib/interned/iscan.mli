@@ -20,8 +20,16 @@
     that structure. {!renamings} is the same enumeration carrying no
     relations. *)
 
+(** One structure of the stream: a renaming and its quotient. [idb] is
+    deferred so that a consumer holding the answer for [rename]
+    already, such as an incremental session's memo, never builds the
+    quotient. Every structure this module returns carries it built
+    ([Lazy.from_val], which allocates nothing for a record), so a
+    thunk of {!structure_thunks} still does the build when called;
+    a session's stream fills it on first force, from its structure
+    cache. Evaluators force it. *)
 type structure = {
-  idb : Idb.t;
+  idb : Idb.t Lazy.t;
   rename : int array;  (** constant code -> representative code *)
 }
 

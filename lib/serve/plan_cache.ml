@@ -14,6 +14,7 @@ type t = {
   capacity : int;
   hits : int Atomic.t;
   misses : int Atomic.t;
+  resets : int Atomic.t;
 }
 
 let create ?(capacity = 256) () =
@@ -24,6 +25,7 @@ let create ?(capacity = 256) () =
     capacity;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
+    resets = Atomic.make 0;
   }
 
 let locked cache f =
@@ -44,15 +46,33 @@ let find_or_prepare cache ~db_name ~generation ~delta ~query_text ?kernel:_
     (* Prepare outside the lock: compilation can be slow and must not
        stall every other worker's lookups. *)
     let prepared = prepare () in
-    locked cache (fun () ->
-        if
-          Hashtbl.length cache.table >= cache.capacity
-          && not (Hashtbl.mem cache.table key)
-        then Hashtbl.reset cache.table;
-        Hashtbl.replace cache.table key prepared);
+    let reset =
+      locked cache (fun () ->
+          let full =
+            Hashtbl.length cache.table >= cache.capacity
+            && not (Hashtbl.mem cache.table key)
+          in
+          if full then Hashtbl.reset cache.table;
+          Hashtbl.replace cache.table key prepared;
+          full)
+    in
+    if reset then begin
+      Atomic.incr cache.resets;
+      Obs.count "serve.plan_cache.reset" 1
+    end;
     (prepared, `Miss)
 
-let stats cache =
-  ( Atomic.get cache.hits,
-    Atomic.get cache.misses,
-    locked cache (fun () -> Hashtbl.length cache.table) )
+type stats = {
+  hits : int;
+  misses : int;
+  resets : int;
+  entries : int;
+}
+
+let stats (cache : t) =
+  {
+    hits = Atomic.get cache.hits;
+    misses = Atomic.get cache.misses;
+    resets = Atomic.get cache.resets;
+    entries = locked cache (fun () -> Hashtbl.length cache.table);
+  }

@@ -21,17 +21,18 @@
     capacity sweep. Prepared values are immutable, so a cached plan may
     be evaluated concurrently from any number of pool workers.
 
-    Hits and misses are counted and surfaced both through {!stats} (the
-    serve [stats] op) and as {!Vardi_obs.Obs} counters
-    [serve.plan_cache.hit] / [serve.plan_cache.miss]. *)
+    Hits, misses and capacity resets are counted and surfaced both
+    through {!stats} (the serve [stats] op) and as {!Vardi_obs.Obs}
+    counters [serve.plan_cache.hit] / [serve.plan_cache.miss] /
+    [serve.plan_cache.reset]. *)
 
 type t
 
 (** [create ?capacity ()] — [capacity] (default [256]) bounds the
     number of resident plans; on overflow the whole table is dropped
-    (plans are cheap to rebuild relative to scans, and the bound only
-    exists to keep a pathological client from growing the table
-    without limit). *)
+    and the drop counted as a reset (plans are cheap to rebuild
+    relative to scans, and the bound only exists to keep a
+    pathological client from growing the table without limit). *)
 val create : ?capacity:int -> unit -> t
 
 (** [find_or_prepare cache ~db_name ~generation ~delta ~query_text
@@ -52,5 +53,12 @@ val find_or_prepare :
   (unit -> Vardi_certain.Engine.prepared) ->
   Vardi_certain.Engine.prepared * [ `Hit | `Miss ]
 
-(** [(hits, misses, entries)] since {!create}. *)
-val stats : t -> int * int * int
+type stats = {
+  hits : int;
+  misses : int;
+  resets : int;  (** times a full table was emptied to admit a plan *)
+  entries : int;  (** plans resident now (not monotonic) *)
+}
+
+(** Counters since {!create}. *)
+val stats : t -> stats

@@ -410,7 +410,7 @@ let do_close_unknown state ~db_name ~left ~right ~equal =
       mutation_ok ~db_name entry)
 
 let do_stats state =
-  let hits, misses, entries = Plan_cache.stats state.cache in
+  let plans = Plan_cache.stats state.cache in
   Mutex.lock state.dbs_lock;
   let named =
     Hashtbl.fold (fun name entry acc -> (name, entry) :: acc) state.dbs []
@@ -430,9 +430,10 @@ let do_stats state =
       ( "plan_cache",
         Json.Obj
           [
-            ("hits", Json.Num (float_of_int hits));
-            ("misses", Json.Num (float_of_int misses));
-            ("entries", Json.Num (float_of_int entries));
+            ("hits", Json.Num (float_of_int plans.hits));
+            ("misses", Json.Num (float_of_int plans.misses));
+            ("resets", Json.Num (float_of_int plans.resets));
+            ("entries", Json.Num (float_of_int plans.entries));
           ] );
       ( "dbs",
         Json.List

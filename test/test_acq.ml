@@ -281,7 +281,7 @@ let interned_join_parity =
       let db = Ph.ph1 cw in
       let scan = Iscan.prepare cw in
       let tab = Iscan.symtab scan in
-      let idb = (Iscan.discrete scan).Iscan.idb in
+      let idb = Lazy.force (Iscan.discrete scan).Iscan.idb in
       List.for_all
         (fun expr ->
           match Iplan.of_algebra tab expr with

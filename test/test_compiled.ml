@@ -59,7 +59,7 @@ let mem_row_agrees =
 let plan_ctx =
   let plan = Iscan.prepare socrates in
   let tab = Iscan.symtab plan in
-  (tab, (Iscan.discrete plan).Iscan.idb, plan)
+  (tab, Lazy.force (Iscan.discrete plan).Iscan.idb, plan)
 
 let gen_plan =
   let tab, _, _ = plan_ctx in
@@ -205,7 +205,8 @@ let exec_member_agrees =
       Iscan.structure_thunks plan
       |> Seq.for_all (fun thunk ->
              let s = thunk () in
-             let ia = Iplan.run s.Iscan.idb iplan in
+             let idb = Lazy.force s.Iscan.idb in
+             let ia = Iplan.run idb iplan in
              List.for_all
                (fun answer ->
                  Irel.equal (Icode.rows ~radix ~arity:k answer) ia
@@ -216,7 +217,7 @@ let exec_member_agrees =
                             (Array.map (fun c -> s.Iscan.rename.(c)) row)
                             ia)
                       candidates)
-               [ Icode.exec s.Iscan.idb prog; Icode.Rows ia ]))
+               [ Icode.exec idb prog; Icode.Rows ia ]))
 
 (* --- compiled formulas against Ieval on generated instances ---------- *)
 
@@ -249,7 +250,7 @@ let compiled_formulas_match_ieval =
       Iscan.structure_thunks plan
       |> Seq.for_all (fun thunk ->
              let s = thunk () in
-             let idb = s.Iscan.idb in
+             let idb = Lazy.force s.Iscan.idb in
              let answers_agree =
                match
                  ( eval_outcome (fun () -> Icode.run_answer idb ca),
@@ -380,7 +381,7 @@ let test_compiled_error_parity () =
      interpreter's message, and only when evaluation reaches them. *)
   let plan = Iscan.prepare socrates in
   let tab = Iscan.symtab plan in
-  let idb = (Iscan.discrete plan).Iscan.idb in
+  let idb = Lazy.force (Iscan.discrete plan).Iscan.idb in
   let trip f = match f () with _ -> None | exception Eval.Eval_error m -> Some m in
   let cases =
     [

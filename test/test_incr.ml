@@ -23,6 +23,7 @@ let base_db () =
 
 let q_r = query "(x). exists y. R(x, y)"
 let q_p = query "(x). ~P(x)"
+let q_pr = query "(x). P(x) \\/ (exists y. R(x, y))"
 
 let tuples rel = Relation.tuples rel |> List.sort compare
 
@@ -136,9 +137,90 @@ let test_memo_hits () =
   let h4, m4 = counters () in
   Alcotest.(check int) "dependent delta yields no hits" h3 h4;
   Alcotest.(check bool) "dependent delta recomputes" true (m4 > m3);
-  (* the slot cache is finer: the delta on R rebuilt only R's slots *)
-  let st = Session.stats s in
-  Alcotest.(check bool) "untouched slots were reused" true (st.s_slot_reuses > 0)
+  (* The slot cache is finer than the memo. After a delta on R, a query
+     reading both P and R misses the memo on every structure and builds
+     each from the cache: its P slot is reused, its R slot rebuilt. *)
+  eval q_pr;
+  Session.insert s (fact "R" [ "c"; "a" ]);
+  let st5 = Session.stats s in
+  eval q_pr;
+  let st6 = Session.stats s in
+  let missed = st6.s_memo_misses - st5.s_memo_misses in
+  Alcotest.(check bool) "the R delta misses the memo" true (missed > 1);
+  Alcotest.(check int) "every structure reused its P slot" missed
+    (st6.s_slot_reuses - st5.s_slot_reuses);
+  Alcotest.(check int) "every structure rebuilt its R slot" missed
+    (st6.s_slot_rebuilds - st5.s_slot_rebuilds)
+
+(* Memo first: a warm re-scan answers every structure from the memo and
+   never asks the structure cache for a quotient, so no slot is reused
+   or rebuilt. *)
+let test_memo_hit_builds_nothing () =
+  let s = Session.create (base_db ()) in
+  let scan () = Certain.prepared_answer_stats (Session.prepare s q_pr) in
+  ignore (scan ());
+  let buf = Obs.buffer () in
+  let rel, st = Obs.with_sink (Obs.buffer_sink buf) scan in
+  let count name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.counter_totals (Obs.events buf)))
+  in
+  Alcotest.(check int) "every structure hit the memo" st.Certain.structures
+    (count "incr.memo_hit");
+  Alcotest.(check int) "no slot reused" 0 (count "incr.slot_reuse");
+  Alcotest.(check int) "no slot rebuilt" 0 (count "incr.slot_rebuild");
+  Alcotest.(check (list (list string)))
+    "the memoized answer is the reference's"
+    (tuples (Fuzz_reference.answer (Session.db s) q_pr))
+    (tuples rel)
+
+(* A query prepared before a dependent delta keeps answering at its own
+   view after a fresh prepare has claimed the memo for the new one. It
+   reads nothing of the memo (no hit, so no newer result) and writes
+   nothing into it (the fresh scan that follows it misses every
+   structure and still answers at the new view), alone and while the
+   fresh query scans on another domain. *)
+let test_stale_prepared () =
+  let s = Session.create (base_db ()) in
+  let scan p = Certain.prepared_answer_stats p in
+  let reference db = tuples (Fuzz_reference.answer db q_r) in
+  let old_reference = reference (Session.db s) in
+  ignore (scan (Session.prepare s q_r));
+  let stale = Session.prepare s q_r in
+  Session.insert s (fact "R" [ "b"; "c" ]);
+  let new_reference = reference (Session.db s) in
+  Alcotest.(check bool) "the delta moves the answer" false
+    (old_reference = new_reference);
+  let fresh = Session.prepare s q_r in
+  let counted f =
+    let before = Session.stats s in
+    let r = f () in
+    let after = Session.stats s in
+    (r, after.s_memo_hits - before.s_memo_hits,
+     after.s_memo_misses - before.s_memo_misses)
+  in
+  let check_scan label reference ~hits p =
+    let (rel, st), h, m = counted (fun () -> scan p) in
+    Alcotest.(check (list (list string))) (label ^ ": answer") reference
+      (tuples rel);
+    Alcotest.(check (pair int int)) (label ^ ": memo hits and misses")
+      (if hits then (st.Certain.structures, 0) else (0, st.Certain.structures))
+      (h, m)
+  in
+  check_scan "stale, before the fresh scan" old_reference ~hits:false stale;
+  check_scan "fresh, after the stale scan" new_reference ~hits:false fresh;
+  check_scan "stale, after the fresh scan" old_reference ~hits:false stale;
+  check_scan "fresh, warm" new_reference ~hits:true fresh;
+  for round = 1 to 10 do
+    let label what = Printf.sprintf "round %d, %s" round what in
+    let other = Domain.spawn (fun () -> scan stale) in
+    let fresh_rel, _ = scan fresh in
+    let stale_rel, _ = Domain.join other in
+    Alcotest.(check (list (list string))) (label "stale") old_reference
+      (tuples stale_rel);
+    Alcotest.(check (list (list string))) (label "fresh") new_reference
+      (tuples fresh_rel)
+  done
 
 (* Closing a pair to distinct prunes the partition stream but keeps
    both the structure cache and the memo valid for the survivors. *)
@@ -267,4 +349,8 @@ let suite =
       test_prepared_snapshot;
     Alcotest.test_case "over-long stream streams once per view" `Quick
       test_overlong_stream;
+    Alcotest.test_case "a memo hit builds no structure" `Quick
+      test_memo_hit_builds_nothing;
+    Alcotest.test_case "a stale prepared query neither reads nor pins the memo"
+      `Quick test_stale_prepared;
   ]

@@ -205,7 +205,7 @@ let test_iplan_matches_algebra () =
   let ph1 = Ph.ph1 db in
   let plan = Iscan.prepare db in
   let tab = Iscan.symtab plan in
-  let idb = (Iscan.discrete plan).Iscan.idb in
+  let idb = Lazy.force (Iscan.discrete plan).Iscan.idb in
   List.iter
     (fun text ->
       let query = q text in
@@ -229,7 +229,7 @@ let test_ieval_matches_eval () =
   let ph1 = Ph.ph1 db in
   let plan = Iscan.prepare db in
   let tab = Iscan.symtab plan in
-  let idb = (Iscan.discrete plan).Iscan.idb in
+  let idb = Lazy.force (Iscan.discrete plan).Iscan.idb in
   List.iter
     (fun text ->
       let query = q text in
@@ -399,10 +399,11 @@ let gen_patch_case =
       ops )
 
 let same_structure (a : Iscan.structure) (b : Iscan.structure) =
+  let ia = Lazy.force a.idb and ib = Lazy.force b.idb in
   a.rename = b.rename
-  && a.idb.Idb.universe = b.idb.Idb.universe
-  && Array.length a.idb.Idb.rels = Array.length b.idb.Idb.rels
-  && Array.for_all2 Irel.equal a.idb.Idb.rels b.idb.Idb.rels
+  && ia.Idb.universe = ib.Idb.universe
+  && Array.length ia.Idb.rels = Array.length ib.Idb.rels
+  && Array.for_all2 Irel.equal ia.Idb.rels ib.Idb.rels
 
 (* Where [patched] builds a structure other than [fresh] does. *)
 let plan_mismatch patched fresh =

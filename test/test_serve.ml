@@ -464,7 +464,38 @@ let test_plan_cache () =
               in
               Alcotest.(check int) "hits counted" 2 (counter "hits");
               Alcotest.(check int) "misses counted" 2 (counter "misses");
+              Alcotest.(check int) "no reset below capacity" 0
+                (counter "resets");
               Alcotest.(check int) "two plans resident" 2 (counter "entries"))))
+
+(* A full table is emptied to admit a new plan; each such reset is
+   counted in [stats] and as [serve.plan_cache.reset]. Re-admitting a
+   resident key at capacity resets nothing. *)
+let test_plan_cache_resets () =
+  let cache = Plan_cache.create ~capacity:2 () in
+  let db =
+    database ~predicates:[ ("P", 1) ] ~constants:[ "a"; "b" ]
+      ~facts:[ ("P", [ "a" ]) ] ()
+  in
+  let admit text =
+    ignore
+      (Plan_cache.find_or_prepare cache ~db_name:"g" ~generation:0 ~delta:0
+         ~query_text:text (fun () -> Certain.prepare db (Parser.query text)))
+  in
+  let buf = Obs.buffer () in
+  Obs.with_sink (Obs.buffer_sink buf) (fun () ->
+      admit "(x). P(x)";
+      admit "(x). ~P(x)";
+      admit "(). exists x. P(x)";
+      admit "(). forall x. P(x)");
+  let st = Plan_cache.stats cache in
+  Alcotest.(check int) "one reset per overflow" 1 st.Plan_cache.resets;
+  Alcotest.(check int) "the admitting plan survives the reset" 2
+    st.Plan_cache.entries;
+  Alcotest.(check (option int))
+    "the reset counter" (Some 1)
+    (List.assoc_opt "serve.plan_cache.reset"
+       (Obs.counter_totals (Obs.events buf)))
 
 (* --- busy / backpressure ------------------------------------------- *)
 
@@ -834,4 +865,6 @@ let suite =
       `Quick test_spawned_mixed_load;
     Alcotest.test_case "SIGINT mid-service exits 130, domains joined" `Quick
       test_serve_sigint;
+    Alcotest.test_case "plan cache: a full table's reset is counted" `Quick
+      test_plan_cache_resets;
   ]
